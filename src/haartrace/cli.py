@@ -132,7 +132,7 @@ def _parse_dims(config: RunConfig) -> cm.ProjectorFamily:
 
 def cmd_cumulant(config: RunConfig) -> tuple[list[dict], int]:
     family = _parse_dims(config)
-    r = family.r
+    r = config.r = family.r
     req = cm.CumulantRequest(config.group, r, family)
     kappa = cm.trace_cumulant(req)
     dims = family.dims
@@ -412,6 +412,18 @@ def cmd_verify(config: RunConfig) -> tuple[list[dict], int]:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"worker count (--workers or HAARTRACE_WORKERS) must be a positive "
+            f"integer, got {text!r}")
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="haartrace",
@@ -425,8 +437,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], default="json")
         if seeded:
             p.add_argument("--master-seed", type=int, default=0)
-            p.add_argument("--workers", type=int,
-                           default=int(os.environ.get("HAARTRACE_WORKERS", "1")))
+            # a string default goes through `type` too, so a bad environment
+            # value is a usage error like a bad flag
+            p.add_argument("--workers", type=_worker_count,
+                           default=os.environ.get("HAARTRACE_WORKERS", "1"))
 
     p = sub.add_parser("weingarten", help="exact Weingarten table at (group, n, k)")
     common(p)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, InsufficientReplicasError, OrderViolationError
 from .cumulants import limit_covariance
-from .sampling import SeedSpec, haar_sample
+from .sampling import SeedSpec, haar_sample, keep_sample_memory, single_threaded_blas
 
 GridPoint = tuple[float, float]
 
@@ -39,7 +39,7 @@ class TraceField:
     """Prefix sums of squared entry moduli; cell (p, q) holds T_{p,q}."""
 
     n: int
-    cumulative: np.ndarray  # (n+1, n+1), row/col 0 are zero
+    cumulative: np.ndarray  # (n+1, q+1) for the leading q <= n columns; row/col 0 are zero
 
     def corner(self, p: int, q: int) -> float:
         return float(self.cumulative[p, q])
@@ -51,21 +51,23 @@ class TraceField:
 def trace_field(m: np.ndarray) -> TraceField:
     """Build the prefix-sum grid for one sampled matrix.
 
-    Above n = 1000 the accumulation runs in extended precision so that the
+    `m` is n x n, or the leading n x q columns (q <= n) of an n x n sample;
+    corners T_{p,q'} with q' <= q read off the same either way.  Above
+    n = 1000 the accumulation runs in extended precision so that the
     unit-row identity T_{n,n} = n survives to 1e-10.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
+    if m.ndim != 2 or m.shape[1] > m.shape[0]:
+        raise DimensionError(f"expected n x q columns with q <= n, got shape {m.shape}")
+    n, cols = m.shape
     weights = np.abs(m) ** 2
     if n >= 1000:
         weights = weights.astype(np.longdouble)
-    cum = np.zeros((n + 1, n + 1), dtype=weights.dtype)
+    cum = np.zeros((n + 1, cols + 1), dtype=weights.dtype)
     np.cumsum(weights, axis=0, out=weights)
     np.cumsum(weights, axis=1, out=weights)
     cum[1:, 1:] = weights
-    return TraceField(n, cum.astype(np.float64))
+    return TraceField(n, cum.astype(np.float64, copy=False))
 
 
 def _floor_index(n: int, x: float) -> int:
@@ -93,8 +95,8 @@ def block_increment(f: TraceField, s: float, s2: float, t: float, t2: float) -> 
 def uniform_lln_deviation(f: TraceField) -> float:
     """max over the full grid of |T_{p,q}/n - pq/n^2|."""
     n = f.n
-    p = np.arange(n + 1)
-    target = np.outer(p, p) / (n * n)
+    rows, cols = f.cumulative.shape
+    target = np.outer(np.arange(rows), np.arange(cols)) / (n * n)
     return float(np.max(np.abs(f.cumulative / n - target)))
 
 
@@ -104,42 +106,61 @@ def uniform_lln_deviation(f: TraceField) -> float:
 
 def map_replicas(group: str, n: int, replicas: int, master_seed: int,
                  row_fn: Callable[[np.ndarray], np.ndarray],
-                 workers: int = 1, start: int = 0) -> np.ndarray:
+                 workers: int = 1, start: int = 0,
+                 columns: int | None = None) -> np.ndarray:
     """Apply row_fn to each sampled matrix; rows land at their replica index.
 
-    Each replica draws from its own (master_seed, index) stream and writes
-    only its own output row, so results are identical for any worker count.
+    row_fn sees the leading `columns` of each sample (default all n).  Each
+    replica draws from its own (master_seed, index) stream and writes only
+    its own output row, and BLAS runs single-threaded for every worker count,
+    so results are identical for any worker count; pool threads then do not
+    compete with BLAS threads for the same cores either.  Freed sample arrays
+    are kept for reuse (`keep_sample_memory`).
     """
     if replicas < 1:
         raise InsufficientReplicasError("need at least one replica")
+    keep_sample_memory()
 
     def compute(idx: int) -> np.ndarray:
-        return np.atleast_1d(row_fn(haar_sample(group, n, SeedSpec(master_seed, start + idx))))
+        m = haar_sample(group, n, SeedSpec(master_seed, start + idx), columns)
+        return np.atleast_1d(row_fn(m))
 
-    first = compute(0)
-    out = np.empty((replicas, first.size), dtype=first.dtype)
-    out[0] = first
-    if workers > 1 and replicas > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, row in zip(range(1, replicas),
-                                pool.map(compute, range(1, replicas), chunksize=16)):
-                out[idx] = row
-    else:
-        for idx in range(1, replicas):
-            out[idx] = compute(idx)
+    # BLAS runs on one thread for every worker count: OpenBLAS's threaded
+    # kernels round differently from its serial ones (at n = 400, say), so a
+    # thread count that followed `workers` would change the rows with it
+    with single_threaded_blas():
+        first = compute(0)
+        out = np.empty((replicas, first.size), dtype=first.dtype)
+        out[0] = first
+        if workers > 1 and replicas > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+                for idx, row in zip(range(1, replicas),
+                                    pool.map(compute, range(1, replicas), chunksize=16)):
+                    out[idx] = row
+        else:
+            for idx in range(1, replicas):
+                out[idx] = compute(idx)
     return out
 
 
 def sample_process_values(group: str, n: int, grid_points: Sequence[GridPoint],
                           replicas: int, master_seed: int, workers: int = 1) -> np.ndarray:
-    """Matrix of W values, one row per replica, one column per grid point."""
+    """Matrix of W values, one row per replica, one column per grid point.
+
+    Equal, value for value, to `process_value` at each point; the corners
+    and centring are computed once, each replica is one indexed read, and
+    only the columns up to the widest corner are sampled.
+    """
     pts = tuple(grid_points)
+    ps = np.array([_floor_index(n, s) for s, _ in pts], dtype=np.intp)
+    qs = np.array([_floor_index(n, t) for _, t in pts], dtype=np.intp)
+    centre = ps * qs / n
 
     def row(m: np.ndarray) -> np.ndarray:
-        f = trace_field(m)
-        return np.array([process_value(f, s, t) for s, t in pts])
+        return trace_field(m).cumulative[ps, qs] - centre
 
-    return map_replicas(group, n, replicas, master_seed, row, workers=workers)
+    return map_replicas(group, n, replicas, master_seed, row, workers=workers,
+                        columns=max(1, int(qs.max(initial=0))))
 
 
 @dataclass(frozen=True)
@@ -381,7 +402,7 @@ def spectral_compare(n: int, s: float, t: float, replicas: int, master_seed: int
         v = m[:p, :q]
         return np.linalg.eigvalsh(v @ v.conj().T).real
 
-    eigs = map_replicas(group, n, replicas, master_seed, row, workers=workers)
+    eigs = map_replicas(group, n, replicas, master_seed, row, workers=workers, columns=q)
     edges = np.linspace(0.0, 1.0, bins + 1)
     pooled = np.clip(eigs.ravel(), 0.0, 1.0)
     counts, _ = np.histogram(pooled, bins=edges)

@@ -185,6 +185,30 @@ def test_worker_count_env_override(tmp_path, monkeypatch):
     assert json.loads(text)["meta"]["config"]["workers"] == 3
 
 
+def test_bad_worker_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("HAARTRACE_WORKERS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "20", "--replicas", "110", "--grid", "0.5"])
+    assert exc.value.code == 2
+    assert "'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_nonpositive_workers_is_usage_error(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "20", "--replicas", "110", "--grid", "0.5",
+              "--workers", count])
+    assert exc.value.code == 2
+    assert f"'{count}'" in capsys.readouterr().err
+
+
+def test_cumulant_singular_gram_names_order(capsys):
+    code = main(["cumulant", "--n", "3", "--dims", "1:1,1:1,1:1,1:1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "singular" in err and "n=3" in err and "k=4" in err
+
+
 def test_simulate_boundary_grid_point(tmp_path):
     code, text = run_cli(tmp_path, "simulate", "--n", "24", "--replicas", "110",
                          "--grid", "0.0,0.5", "--master-seed", "3")

@@ -1,10 +1,15 @@
+import resource
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from haartrace.empirics import map_replicas, process_value, sample_process_values, trace_field
 from haartrace.errors import DimensionError
 from haartrace.sampling import (
     SeedSpec,
+    _mallopt,
+    _openblas_thread_calls,
     haar_batch,
     haar_orthogonal,
     haar_sample,
@@ -124,3 +129,90 @@ def test_group_dispatch():
     assert haar_sample("orthogonal", 4, SeedSpec(1)).dtype == np.float64
     with pytest.raises(ValueError):
         haar_sample("symplectic", 4, SeedSpec(1))
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+@pytest.mark.parametrize("n", [8, 64, 400])
+def test_truncated_sample_equals_full_columns(group, n):
+    seed = SeedSpec(2027, n)
+    full = haar_sample(group, n, seed)
+    for q in sorted({1, n // 2, (3 * n) // 4, n - 1, n}):
+        part = haar_sample(group, n, seed, columns=q)
+        assert part.shape == (n, q) and part.dtype == full.dtype
+        assert np.max(np.abs(part - full[:, :q])) <= 1e-13
+    # all columns is the default, bit for bit
+    assert np.array_equal(haar_sample(group, n, seed, columns=n), full)
+
+
+def test_columns_out_of_range():
+    for cols in (0, 5):
+        with pytest.raises(ValueError):
+            haar_unitary(4, SeedSpec(1), columns=cols)
+        with pytest.raises(ValueError):
+            haar_orthogonal(4, SeedSpec(1), columns=cols)
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+def test_sample_process_values_matches_pointwise_loop(group):
+    n, reps, seed = 40, 12, 505
+    pts = [(0.3, 0.45), (0.0, 0.7), (0.5, 0.5), (1.0, 0.2), (0.99, 0.61)]
+    got = sample_process_values(group, n, pts, reps, seed, workers=2)
+    widest = max(int(n * t) for _, t in pts)
+    for i in range(reps):
+        truncated = trace_field(haar_sample(group, n, SeedSpec(seed, i), columns=widest))
+        want = [process_value(truncated, s, t) for s, t in pts]
+        assert got[i].tolist() == want  # the same sample gives the same floats
+        full = trace_field(haar_sample(group, n, SeedSpec(seed, i)))
+        assert np.max(np.abs(got[i] - [process_value(full, s, t) for s, t in pts])) <= 1e-13
+
+
+def test_replicas_run_single_threaded_blas_and_restore_it():
+    calls = _openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy does not bundle a scipy-openblas library here")
+    get_threads, set_threads = calls
+    original = get_threads()
+    seen = []
+
+    def row(m):
+        seen.append(get_threads())
+        return np.zeros(1)
+
+    try:
+        set_threads(2)
+        for workers in (1, 2):
+            seen.clear()
+            map_replicas("orthogonal", 6, 40, 3, row, workers=workers)
+            assert get_threads() == 2
+            assert set(seen) == {1}  # replica 0 too, and without a pool
+    finally:
+        set_threads(original)
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+def test_rows_do_not_depend_on_worker_count_at_blas_threaded_size(group):
+    # at n = 400 OpenBLAS splits a QR over its threads and rounds differently
+    # from one thread, so this fails if the BLAS thread count follows workers
+    pts = [(0.25, 0.5), (0.75, 0.75)]
+    serial = sample_process_values(group, 400, pts, 5, 8, workers=1)
+    pooled = sample_process_values(group, 400, pts, 5, 8, workers=2)
+    assert np.array_equal(serial, pooled)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_replica_loop_reuses_its_freed_arrays(workers):
+    if _mallopt() is None:
+        pytest.skip("the C library has no mallopt")
+
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    def row(m):
+        return trace_field(m).cumulative[-1, -1:]
+
+    map_replicas("unitary", 200, 4, 9, row, workers=workers)  # grows the heaps once
+    before = faults()
+    map_replicas("unitary", 200, 40, 9, row, workers=workers, start=4)
+    # a replica allocates about 3 MB; unmapped and faulted in again, that
+    # would be hundreds of page faults per replica
+    assert (faults() - before) / 40 < 20
