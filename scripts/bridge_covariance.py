@@ -9,6 +9,7 @@ acceptance run, with all knobs exposed.
 """
 import argparse
 import math
+from fractions import Fraction
 
 from haartrace.cumulants import (
     CumulantRequest,
@@ -17,7 +18,7 @@ from haartrace.cumulants import (
     limit_covariance,
     trace_cumulant_orthogonal,
 )
-from haartrace.empirics import covariance_mc, sample_process_values
+from haartrace.empirics import covariance_mc, floor_index, sample_process_values
 
 
 def main() -> None:
@@ -30,7 +31,7 @@ def main() -> None:
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
-    axis = [float(x) for x in args.axis.split(",")]
+    axis = [Fraction(x) for x in args.axis.split(",")]  # exact decimals floor exactly
     points = [(s, t) for s in axis for t in axis]
     beta = 2 if args.group == "unitary" else 1
 
@@ -38,6 +39,8 @@ def main() -> None:
     values = sample_process_values(args.group, args.n, points, args.replicas,
                                    args.master_seed, workers=args.workers)
     est, se = covariance_mc(values)
+    dims = [(floor_index(args.n, s), floor_index(args.n, t)) for s, t in points]
+    points = [(float(s), float(t)) for s, t in points]
 
     header = f"{'pair':>24}  {'estimate':>10}  {'se':>8}  {'exact':>10}  {'limit':>10}  {'z':>6}"
     print(header)
@@ -47,11 +50,10 @@ def main() -> None:
         for b in range(a, len(points)):
             s1, t1 = points[a]
             s2, t2 = points[b]
-            dims = tuple(int(args.n * x) for x in (s1, t1, s2, t2))
             if args.group == "unitary":
-                exact = float(covariance_closed(*dims, args.n))
+                exact = float(covariance_closed(*dims[a], *dims[b], args.n))
             else:
-                fam = ProjectorFamily(args.n, (dims[:2], dims[2:]))
+                fam = ProjectorFamily(args.n, (dims[a], dims[b]))
                 exact = float(trace_cumulant_orthogonal(
                     CumulantRequest("orthogonal", 2, fam)))
             limit = limit_covariance(s1, t1, s2, t2, beta)
@@ -63,9 +65,8 @@ def main() -> None:
     print(f"worst |z| vs exact finite-n: {worst:.2f} "
           f"(4 is the acceptance threshold; limit policy adds 0.01 slack)")
     finite_gap = max(
-        abs(float(covariance_closed(*(int(args.n * x) for x in (s1, t1, s2, t2)), args.n))
-            - limit_covariance(s1, t1, s2, t2, 2))
-        for (s1, t1) in points for (s2, t2) in points
+        abs(float(covariance_closed(*d1, *d2, args.n)) - limit_covariance(*x1, *x2, 2))
+        for d1, x1 in zip(dims, points) for d2, x2 in zip(dims, points)
     ) if args.group == "unitary" else math.nan
     print(f"largest finite-n bias vs limit on this grid: {finite_gap:.2e}")
 

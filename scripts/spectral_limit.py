@@ -7,6 +7,7 @@ identity (mean -> t).
     python scripts/spectral_limit.py --n 400 --s 0.3 --t 0.5 --replicas 50
 """
 import argparse
+from fractions import Fraction
 
 from haartrace.empirics import spectral_compare
 
@@ -15,8 +16,9 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--group", choices=["unitary", "orthogonal"], default="unitary")
     ap.add_argument("--n", type=int, default=400)
-    ap.add_argument("--s", type=float, default=0.3)
-    ap.add_argument("--t", type=float, default=0.5)
+    # exact decimals, so the corner floor(n s) x floor(n t) needs no rounding
+    ap.add_argument("--s", type=Fraction, default=Fraction("0.3"))
+    ap.add_argument("--t", type=Fraction, default=Fraction("0.5"))
     ap.add_argument("--replicas", type=int, default=50)
     ap.add_argument("--bins", type=int, default=40)
     ap.add_argument("--master-seed", type=int, default=1005)
@@ -33,7 +35,7 @@ def main() -> None:
         print(f"[{lo:5.3f},{hi:5.3f})  {e:>10.5f}  {r:>10.5f}  {bar}")
     print(f"L1 distance: {res.l1_distance:.4f}")
     print(f"mean eigenvalue: {res.mean_eigenvalue:.5f} +- {res.mean_se:.5f} "
-          f"(limit identity: t = {args.t})")
+          f"(limit identity: t = {float(args.t)})")
 
 
 if __name__ == "__main__":

@@ -39,8 +39,8 @@ class RunConfig:
     r: int = 0
     dims: str = ""
     grid: str = ""
-    s: float = 0.0
-    t: float = 0.0
+    s: Fraction = Fraction(0)
+    t: Fraction = Fraction(0)
     replicas: int = 0
     bins: int = 40
     master_seed: int = 0
@@ -69,11 +69,12 @@ def _write_report(config: RunConfig, records: list[dict], started: float) -> str
         "duration_s": round(time.time() - started, 3),
     }
     if config.format == "json":
-        text = json.dumps({"meta": meta, "body": {"records": records}}, indent=2) + "\n"
+        text = json.dumps({"meta": meta, "body": {"records": records}}, indent=2,
+                          default=float) + "\n"
     else:
         buf = io.StringIO()
         for key, val in meta.items():
-            buf.write(f"# {key}={json.dumps(val, sort_keys=True)}\n")
+            buf.write(f"# {key}={json.dumps(val, sort_keys=True, default=float)}\n")
         if records:
             fields = list(records[0].keys())
             for rec in records[1:]:
@@ -161,8 +162,9 @@ def cmd_cumulant(config: RunConfig) -> tuple[list[dict], int]:
     return [record], 0
 
 
-def _parse_grid(grid: str) -> list[float]:
-    return [float(x) for x in grid.split(",") if x.strip()]
+def _parse_grid(grid: str) -> list[Fraction]:
+    """Axis values as exact decimals, so flooring n * value needs no rounding."""
+    return [Fraction(x) for x in grid.split(",") if x.strip()]
 
 
 def cmd_simulate(config: RunConfig) -> tuple[list[dict], int]:
@@ -175,13 +177,14 @@ def cmd_simulate(config: RunConfig) -> tuple[list[dict], int]:
         config.master_seed, workers=config.workers)
     est, se = emp.covariance_mc(values)
     beta = 2 if config.group == "unitary" else 1
+    dims = [(emp.floor_index(config.n, s), emp.floor_index(config.n, t)) for s, t in points]
+    points = [(float(s), float(t)) for s, t in points]
     records: list[dict] = []
     for a, (s1, t1) in enumerate(points):
         for b, (s2, t2) in enumerate(points):
             if b < a:
                 continue
-            p1, q1 = int(config.n * s1), int(config.n * t1)
-            p2, q2 = int(config.n * s2), int(config.n * t2)
+            (p1, q1), (p2, q2) = dims[a], dims[b]
             if 0 in (p1, q1, p2, q2):
                 exact = Fraction(0)  # an empty corner is identically zero
             elif config.group == "unitary":
@@ -223,7 +226,7 @@ def cmd_spectra(config: RunConfig) -> tuple[list[dict], int]:
         "l1_distance": result.l1_distance,
         "mean_eigenvalue": result.mean_eigenvalue,
         "mean_se": result.mean_se,
-        "expected_mean": config.t,
+        "expected_mean": float(config.t),
         "warnings": ";".join(result.warnings),
         "p": result.metadata["p"],
         "q": result.metadata["q"],
@@ -248,8 +251,7 @@ def _clear_exact_caches() -> None:
     wg._orthogonal_inverse.cache_clear()
     wg._orthogonal_values.cache_clear()
     cm._cycle_set_cumulant.cache_clear()
-    cm._unitary_coeffs.cache_clear()
-    cm._orthogonal_coeffs.cache_clear()
+    cm._coefficient_table.cache_clear()
     cm._block_moment.cache_clear()
 
 
@@ -462,8 +464,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectra", help="corner-product spectrum vs the limit law")
     common(p, seeded=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--s", type=Fraction, required=True)
+    p.add_argument("--t", type=Fraction, required=True)
     p.add_argument("--replicas", type=int, required=True)
     p.add_argument("--bins", type=int, default=40)
 

@@ -16,7 +16,11 @@ Weingarten argument while joining with those of alpha and beta to the full
 one-block partition, and (orthogonal case) sigma is the double-coset
 representative extracted from t_{alpha^-1} tau_eps t_beta.
 
-Everything on this path is exact rational arithmetic.  An independent
+Both sums are evaluated one way: the dims-independent coefficients of all
+(alpha, beta) pairs are cached per (group, n, r) as one integer matrix C over
+a common denominator D, and a family costs two trace vectors a_i = Tr_{alpha_i},
+b_j = Tr_{beta_j} and one product kappa_r = a^T C b / D.  Everything on this
+path is exact.  An independent
 moment-side oracle (`mixed_trace_moment` fed through `classical_cumulant`)
 recomputes every cumulant from raw joint moments; the two routes are kept
 separate so tests can compare them.
@@ -24,6 +28,8 @@ separate so tests can compare them.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,6 +58,7 @@ from .weingarten import (
 )
 
 GROUPS = ("unitary", "orthogonal")
+_ORDER_LIMITS = {"unitary": MAX_UNITARY_ORDER, "orthogonal": MAX_ORTHOGONAL_ORDER}
 
 
 @dataclass(frozen=True)
@@ -209,36 +216,6 @@ def relative_cumulant_orthogonal(sigma: Permutation, a: SetPartition, n: int) ->
 # Trace cumulants: the closed double-sum route
 # ---------------------------------------------------------------------------
 
-def _admissible_sum(group: str, n: int, pi: Permutation,
-                    alpha: Permutation, beta: Permutation) -> Fraction:
-    """Sum of relative cumulants C_{pi, A} over admissible partitions A.
-
-    A must coarsen the cycle partition of pi and join with the cycle
-    partitions of alpha and beta to the one-block partition.
-    """
-    r = pi.size
-    pi_part = cycle_partition(pi)
-    ab = join(cycle_partition(alpha), cycle_partition(beta))
-    full = one_partition(r)
-    total = Fraction(0)
-    for a in enumerate_partitions(r):
-        if refines(pi_part, a) and join(a, ab) == full:
-            total += _relative_cumulant(group, pi, a, n)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _unitary_coeffs(n: int, r: int) -> dict[tuple, Fraction]:
-    """Dims-independent coefficient of Tr_alpha(col) Tr_beta(row) per pair."""
-    coeffs: dict[tuple, Fraction] = {}
-    for alpha in all_permutations(r):
-        alpha_inv = alpha.inverse()
-        for beta in all_permutations(r):
-            pi = beta * alpha_inv
-            coeffs[(alpha.images, beta.images)] = _admissible_sum("unitary", n, pi, alpha, beta)
-    return coeffs
-
-
 @lru_cache(maxsize=None)
 def _sigma_triple(r: int, alpha_images: tuple, beta_images: tuple, eps: tuple) -> Permutation:
     alpha = Permutation(alpha_images)
@@ -247,64 +224,93 @@ def _sigma_triple(r: int, alpha_images: tuple, beta_images: tuple, eps: tuple) -
     return sigma_of(big)
 
 
+def _pair_coefficient(group: str, n: int, alpha: Permutation, beta: Permutation) -> Fraction:
+    """Dims-independent coefficient of one (alpha, beta) term of the double sum.
+
+    Sums relative cumulants C_{pi, A} over admissible A: coarsenings of the
+    cycle partition of pi that join with the cycle partitions of alpha and
+    beta to the one-block partition.  pi is beta alpha^-1 (unitary), or runs
+    over the sigma of every sign vector eps, with weight 2^(r - #alpha - #beta)
+    (orthogonal).
+    """
+    r = alpha.size
+    ab = join(cycle_partition(alpha), cycle_partition(beta))
+    full = one_partition(r)
+    if group == "unitary":
+        pis, weight = [beta * alpha.inverse()], Fraction(1)
+    else:
+        pis = [_sigma_triple(r, alpha.images, beta.images, eps)
+               for eps in itertools.product((1, -1), repeat=r)]
+        weight = Fraction(2 ** r, 2 ** (alpha.num_cycles + beta.num_cycles))
+    total = Fraction(0)
+    for pi in pis:
+        pi_part = cycle_partition(pi)
+        for a in enumerate_partitions(r):
+            if refines(pi_part, a) and join(a, ab) == full:
+                total += _relative_cumulant(group, pi, a, n)
+    return weight * total
+
+
 @lru_cache(maxsize=None)
-def _orthogonal_coeffs(n: int, r: int) -> dict[tuple, Fraction]:
-    coeffs: dict[tuple, Fraction] = {}
-    for alpha in all_permutations(r):
-        for beta in all_permutations(r):
-            lam = Fraction(2 ** r, 2 ** (alpha.num_cycles + beta.num_cycles))
-            total = Fraction(0)
-            for eps in itertools.product((1, -1), repeat=r):
-                sigma = _sigma_triple(r, alpha.images, beta.images, eps)
-                total += _admissible_sum("orthogonal", n, sigma, alpha, beta)
-            coeffs[(alpha.images, beta.images)] = lam * total
-    return coeffs
+def _coefficient_table(group: str, n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer matrix C and common denominator D of the pair coefficients.
+
+    Row i and column j belong to the i-th and j-th permutation of
+    `all_permutations(r)`, taken as alpha and beta respectively.
+    """
+    perms = all_permutations(r)
+    coeffs = [[_pair_coefficient(group, n, alpha, beta) for beta in perms] for alpha in perms]
+    denom = math.lcm(*(c.denominator for row in coeffs for c in row))
+    table = tuple(tuple(c.numerator * (denom // c.denominator) for c in row) for row in coeffs)
+    return table, denom
+
+
+def _closed_cumulant(group: str, n: int, rows: Sequence, cols: Sequence,
+                     trace: Callable[[Permutation, Sequence], Fraction | int]) -> Fraction:
+    """kappa_r = a^T C b / D with a_i = Tr_{alpha_i}, b_j = Tr_{beta_j}.
+
+    `rows` and `cols` hold one entry per trace factor, in the form `trace`
+    reads (corner dimensions or diagonal vectors).  Alpha acts on the column
+    side for unitary matrices and on the row side for orthogonal ones.
+    """
+    if group not in GROUPS:
+        raise ValueError(f"group must be one of {GROUPS}")
+    r = len(rows)
+    if len(cols) != r:
+        raise DimensionError("need matching row and column families")
+    limit = _ORDER_LIMITS[group]
+    if not 1 <= r <= limit:
+        raise SizeLimitError(f"{group} trace cumulants limited to r <= {limit}")
+    first, second = (cols, rows) if group == "unitary" else (rows, cols)
+    perms = all_permutations(r)
+    b = [trace(beta, second) for beta in perms]
+    table, denom = _coefficient_table(group, n, r)
+    total = sum(
+        (trace(alpha, first) * sum(map(operator.mul, row, b))
+         for alpha, row in zip(perms, table)),
+        0,
+    )
+    return Fraction(total, denom)
+
+
+def trace_cumulant(req: CumulantRequest) -> Fraction:
+    """Exact order-r joint cumulant of corner traces of a Haar matrix."""
+    fam = req.family
+    return _closed_cumulant(req.group, fam.n, fam.row_dims(), fam.col_dims(), projector_trace)
 
 
 def trace_cumulant_unitary(req: CumulantRequest) -> Fraction:
     """Exact order-r joint cumulant of corner traces of a Haar unitary."""
     if req.group != "unitary":
         raise ValueError("request group must be 'unitary'")
-    r = req.order
-    if not 1 <= r <= MAX_UNITARY_ORDER:
-        raise SizeLimitError(f"unitary trace cumulants limited to r <= {MAX_UNITARY_ORDER}")
-    rows, cols = req.family.row_dims(), req.family.col_dims()
-    coeffs = _unitary_coeffs(req.family.n, r)
-    total = Fraction(0)
-    for alpha in all_permutations(r):
-        tr_cols = projector_trace(alpha, cols)
-        if tr_cols == 0:
-            continue
-        for beta in all_permutations(r):
-            c = coeffs[(alpha.images, beta.images)]
-            if c:
-                total += c * tr_cols * projector_trace(beta, rows)
-    return total
+    return trace_cumulant(req)
 
 
 def trace_cumulant_orthogonal(req: CumulantRequest) -> Fraction:
     """Exact order-r joint cumulant of corner traces of a Haar orthogonal."""
     if req.group != "orthogonal":
         raise ValueError("request group must be 'orthogonal'")
-    r = req.order
-    if not 1 <= r <= MAX_ORTHOGONAL_ORDER:
-        raise SizeLimitError(f"orthogonal trace cumulants limited to r <= {MAX_ORTHOGONAL_ORDER}")
-    rows, cols = req.family.row_dims(), req.family.col_dims()
-    coeffs = _orthogonal_coeffs(req.family.n, r)
-    total = Fraction(0)
-    for alpha in all_permutations(r):
-        tr_rows = projector_trace(alpha, rows)
-        if tr_rows == 0:
-            continue
-        for beta in all_permutations(r):
-            c = coeffs[(alpha.images, beta.images)]
-            if c:
-                total += c * tr_rows * projector_trace(beta, cols)
-    return total
-
-
-def trace_cumulant(req: CumulantRequest) -> Fraction:
-    return trace_cumulant_unitary(req) if req.group == "unitary" else trace_cumulant_orthogonal(req)
+    return trace_cumulant(req)
 
 
 def trace_cumulant_diagonal(group: str, row_diags: Sequence[Sequence],
@@ -314,29 +320,7 @@ def trace_cumulant_diagonal(group: str, row_diags: Sequence[Sequence],
     Same double sum as the projector route with Tr_alpha evaluated on raw
     diagonals; used to exercise multilinearity beyond nested corners.
     """
-    r = len(row_diags)
-    if len(col_diags) != r:
-        raise DimensionError("need matching row and column diagonal families")
-    if group == "unitary":
-        if r > MAX_UNITARY_ORDER:
-            raise SizeLimitError("diagonal trace cumulants limited to r <= 4 (unitary)")
-        coeffs = _unitary_coeffs(n, r)
-        first, second = col_diags, row_diags
-    else:
-        if r > MAX_ORTHOGONAL_ORDER:
-            raise SizeLimitError("diagonal trace cumulants limited to r <= 3 (orthogonal)")
-        coeffs = _orthogonal_coeffs(n, r)
-        first, second = row_diags, col_diags
-    total = Fraction(0)
-    for alpha in all_permutations(r):
-        tr1 = diagonal_trace(alpha, first)
-        if tr1 == 0:
-            continue
-        for beta in all_permutations(r):
-            c = coeffs[(alpha.images, beta.images)]
-            if c:
-                total += c * tr1 * diagonal_trace(beta, second)
-    return total
+    return _closed_cumulant(group, n, row_diags, col_diags, diagonal_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +373,7 @@ def mixed_trace_moment(group: str, c: SetPartition, family: ProjectorFamily) -> 
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}")
-    limit = MAX_UNITARY_ORDER if group == "unitary" else MAX_ORTHOGONAL_ORDER
+    limit = _ORDER_LIMITS[group]
     if family.r > limit or c.ground_size != family.r:
         raise SizeLimitError(f"mixed moments limited to r <= {limit} for {group}")
     out = Fraction(1)

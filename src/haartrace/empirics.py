@@ -18,6 +18,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -70,13 +71,18 @@ def trace_field(m: np.ndarray) -> TraceField:
     return TraceField(n, cum.astype(np.float64, copy=False))
 
 
-def _floor_index(n: int, x: float) -> int:
+def floor_index(n: int, x: float | Fraction) -> int:
+    """floor(n x) clipped to [0, n], exact when x is a Fraction.
+
+    Callers that parse decimals pass Fractions: in floats 100 * 0.29 is
+    28.999999999999996, which floors to 28 instead of 29.
+    """
     return min(n, max(0, math.floor(n * x)))
 
 
 def process_value(f: TraceField, s: float, t: float) -> float:
     """Centered process W(s,t); right-continuous step interpolation."""
-    p, q = _floor_index(f.n, s), _floor_index(f.n, t)
+    p, q = floor_index(f.n, s), floor_index(f.n, t)
     return f.corner(p, q) - p * q / f.n
 
 
@@ -84,8 +90,8 @@ def block_increment(f: TraceField, s: float, s2: float, t: float, t2: float) -> 
     """Increment of W around the block (s, s2] x (t, t2]."""
     if s > s2 or t > t2:
         raise OrderViolationError("block corners must satisfy s <= s2 and t <= t2")
-    p1, p2 = _floor_index(f.n, s), _floor_index(f.n, s2)
-    q1, q2 = _floor_index(f.n, t), _floor_index(f.n, t2)
+    p1, p2 = floor_index(f.n, s), floor_index(f.n, s2)
+    q1, q2 = floor_index(f.n, t), floor_index(f.n, t2)
     if p1 == p2 or q1 == q2:
         return 0.0
     raw = (f.corner(p2, q2) - f.corner(p2, q1) - f.corner(p1, q2) + f.corner(p1, q1))
@@ -152,8 +158,8 @@ def sample_process_values(group: str, n: int, grid_points: Sequence[GridPoint],
     only the columns up to the widest corner are sampled.
     """
     pts = tuple(grid_points)
-    ps = np.array([_floor_index(n, s) for s, _ in pts], dtype=np.intp)
-    qs = np.array([_floor_index(n, t) for _, t in pts], dtype=np.intp)
+    ps = np.array([floor_index(n, s) for s, _ in pts], dtype=np.intp)
+    qs = np.array([floor_index(n, t) for _, t in pts], dtype=np.intp)
     centre = ps * qs / n
 
     def row(m: np.ndarray) -> np.ndarray:
@@ -386,9 +392,11 @@ def spectral_compare(n: int, s: float, t: float, replicas: int, master_seed: int
     """Empirical spectrum of the p x q corner product against the limit law.
 
     Clean Jacobi regime wants floor(ns) <= floor(nt) and their sum <= n;
-    violations only set a warning flag, the computation proceeds.
+    violations only set a warning flag, the computation proceeds.  The
+    corner is floored exactly when s and t are Fractions.
     """
-    p, q = _floor_index(n, s), _floor_index(n, t)
+    p, q = floor_index(n, s), floor_index(n, t)
+    s, t = float(s), float(t)
     if p == 0 or q == 0:
         raise ValueError("corner must be nondegenerate: floor(ns), floor(nt) >= 1")
     warnings = []
@@ -491,7 +499,7 @@ def increment_fourth_moment_fit(group: str, n: int, replicas: int, master_seed: 
     blocks: list[tuple[int, int, int, int, int]] = []
     for lev in levels:
         cells = 2 ** lev
-        cuts = [_floor_index(n, i / cells) for i in range(cells + 1)]
+        cuts = [floor_index(n, i / cells) for i in range(cells + 1)]
         for i in range(cells):
             for j in range(cells):
                 dp = cuts[i + 1] - cuts[i]

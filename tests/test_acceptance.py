@@ -73,13 +73,13 @@ def announce(capsys):
 @pytest.fixture(scope="module")
 def bridge_values_unitary():
     return sample_process_values("unitary", BRIDGE_N, GRID_POINTS,
-                                 BRIDGE_REPLICAS, master_seed=2027)
+                                 BRIDGE_REPLICAS, master_seed=2027, workers=2)
 
 
 @pytest.fixture(scope="module")
 def bridge_values_orthogonal():
     return sample_process_values("orthogonal", BRIDGE_N, GRID_POINTS,
-                                 BRIDGE_REPLICAS, master_seed=2027)
+                                 BRIDGE_REPLICAS, master_seed=2027, workers=2)
 
 
 # -- criterion 1 -------------------------------------------------------------
@@ -266,7 +266,8 @@ def test_criterion_05d_kappa4_ratio_bound(announce):
 def test_criterion_06_mc_variance(announce):
     report = []
     for group, seed in (("unitary", 2026), ("orthogonal", 2126)):
-        vals = sample_process_values(group, 200, [(0.5, 0.5)], 10_000, master_seed=seed)
+        vals = sample_process_values(group, 200, [(0.5, 0.5)], 10_000, master_seed=seed,
+                                     workers=2)
         ks = kstat_estimators(vals[:, 0])
         exact = float(variance_closed(100, 100, 200) if group == "unitary"
                       else variance_closed_orthogonal(100, 100, 200))

@@ -217,3 +217,29 @@ def test_simulate_boundary_grid_point(tmp_path):
     zero_rows = [r for r in recs if 0.0 in (r["s"], r["t"])]
     assert zero_rows and all(r["estimate"] == 0.0 and r["exact"] == "0/1"
                              for r in zero_rows)
+
+
+def test_simulate_floors_decimal_grid_values_exactly(tmp_path):
+    # 100 * 0.29 is 28.999999999999996 in floats; the grid point means row 29
+    from haartrace.cumulants import limit_covariance, variance_closed
+    from haartrace.empirics import covariance_mc, map_replicas, trace_field
+    code, text = run_cli(tmp_path, "simulate", "--n", "100", "--replicas", "100",
+                         "--grid", "0.29", "--master-seed", "4")
+    assert code in (0, 1)
+    (cov,) = [r for r in body_records(text) if r["kind"] == "covariance"]
+    assert (cov["s"], cov["t"]) == (0.29, 0.29)
+    assert cov["exact"] == "{0.numerator}/{0.denominator}".format(variance_closed(29, 29, 100))
+    assert cov["limit"] == limit_covariance(0.29, 0.29, 0.29, 0.29, 2)
+    values = map_replicas("unitary", 100, 100, 4,
+                          lambda m: trace_field(m).cumulative[29, 29] - 29 * 29 / 100,
+                          columns=29)
+    assert cov["estimate"] == float(covariance_mc(values)[0][0, 0])
+
+
+def test_spectra_floors_decimal_aspect_ratios_exactly(tmp_path):
+    code, text = run_cli(tmp_path, "spectra", "--n", "100", "--s", "0.29", "--t", "0.58",
+                         "--replicas", "2", "--master-seed", "5")
+    assert code == 0
+    summary = body_records(text)[0]
+    assert (summary["p"], summary["q"], summary["expected_mean"]) == (29, 58, 0.58)
+    assert json.loads(text)["meta"]["config"]["s"] == 0.29

@@ -310,6 +310,35 @@ def test_oracle_equivalence_distinct_dims_sample(group, rmax):
                     cumulant_via_moments(group, fam)
 
 
+# Values from the closed route, pinned: the oracle must reproduce them alone
+ORACLE_KNOWN = [
+    ("unitary", 4, ((1, 2), (3, 1)), Fraction(1, 120)),
+    ("unitary", 5, ((2, 3), (1, 4), (4, 2)), Fraction(-1, 15750)),
+    ("unitary", 4, ((1, 2), (2, 3), (3, 1), (2, 2)), Fraction(1, 16800)),
+    ("unitary", 5, ((3, 3),) * 4, Fraction(-3, 17500)),
+    ("orthogonal", 6, ((2, 3), (4, 1)), Fraction(1, 60)),
+    ("orthogonal", 6, ((1, 2), (2, 4), (2, 5)), Fraction(-1, 1350)),
+    ("orthogonal", 4, ((1, 3),) * 3, Fraction(-1, 64)),
+]
+
+
+def test_moment_oracle_shares_no_code_with_closed_route(monkeypatch):
+    import haartrace.cumulants as cm
+
+    def closed_route_called(*args, **kwargs):
+        raise AssertionError("the moment oracle reached the closed route")
+
+    for name in ("_coefficient_table", "_closed_cumulant", "trace_cumulant",
+                 "trace_cumulant_unitary", "trace_cumulant_orthogonal"):
+        monkeypatch.setattr(cm, name, closed_route_called)
+    cm._block_moment.cache_clear()  # memoized block moments would hide a call
+    try:
+        for group, n, dims, want in ORACLE_KNOWN:
+            assert cumulant_via_moments(group, ProjectorFamily(n, dims)) == want
+    finally:
+        cm._block_moment.cache_clear()
+
+
 def test_trace_cumulant_r3_equals_oracle_spec_example():
     fam = ProjectorFamily.uniform(2, 2, 3, 4)
     assert trace_cumulant(CumulantRequest("unitary", 3, fam)) == \
@@ -440,3 +469,31 @@ def test_trace_cumulant_diagonal_matches_projector_route():
         fam = ProjectorFamily(n, dims)
         assert trace_cumulant_diagonal(group, rows, cols, n) == \
             trace_cumulant(CumulantRequest(group, r, fam))
+
+
+@pytest.mark.parametrize("group,r", [("unitary", 2), ("unitary", 3), ("orthogonal", 2),
+                                     ("orthogonal", 3)])
+def test_trace_cumulant_diagonal_scales_with_fractional_entries(group, r):
+    n = 4
+    rows = [(Fraction(1, 2), 2, Fraction(-1, 3), 0), (1, Fraction(5, 4), 1, 0),
+            (3, 0, Fraction(2, 7), 1)][:r]
+    cols = [(1, Fraction(3, 2), 0, 1), (Fraction(-2, 5), 1, 1, 2), (0, 1, Fraction(1, 3), 1)][:r]
+    kappa = trace_cumulant_diagonal(group, rows, cols, n)
+    assert kappa != 0
+    c = Fraction(7, 3)
+    scaled_row = [tuple(c * x for x in rows[0])] + rows[1:]
+    scaled_col = cols[:-1] + [tuple(c * x for x in cols[-1])]
+    assert trace_cumulant_diagonal(group, scaled_row, cols, n) == c * kappa
+    assert trace_cumulant_diagonal(group, rows, scaled_col, n) == c * kappa
+
+
+def test_trace_cumulant_diagonal_guards():
+    n = 6
+    ones = [1] * n
+    with pytest.raises(SizeLimitError):
+        trace_cumulant_diagonal("unitary", [ones] * 5, [ones] * 5, n)
+    with pytest.raises(SizeLimitError):
+        trace_cumulant_diagonal("orthogonal", [ones] * 4, [ones] * 4, n)
+    for group in ("unitary", "orthogonal"):
+        with pytest.raises(DimensionError):
+            trace_cumulant_diagonal(group, [ones] * 2, [ones] * 3, n)
