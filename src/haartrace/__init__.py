@@ -48,8 +48,6 @@ from .empirics import (
     IncrementFit,
     KStats,
     KestenMcKay,
-    ProcessSample,
-    ReplicaStats,
     SpectralHistogram,
     TraceField,
     block_increment,

@@ -126,8 +126,12 @@ def _parse_dims(config: RunConfig) -> cm.ProjectorFamily:
         raise ValueError("cumulant command needs --dims like 'p:q,p:q,...'")
     pairs = []
     for chunk in config.dims.split(","):
-        p, q = chunk.split(":")
-        pairs.append((int(p), int(q)))
+        try:
+            p, q = chunk.split(":")
+            pairs.append((int(p), int(q)))
+        except ValueError:
+            raise ValueError(f"--dims chunk {chunk!r} is not of the form p:q "
+                             f"with integers p and q") from None
     return cm.ProjectorFamily(config.n, tuple(pairs))
 
 
@@ -164,12 +168,20 @@ def cmd_cumulant(config: RunConfig) -> tuple[list[dict], int]:
 
 def _parse_grid(grid: str) -> list[Fraction]:
     """Axis values as exact decimals, so flooring n * value needs no rounding."""
-    return [Fraction(x) for x in grid.split(",") if x.strip()]
+    texts = [x.strip() for x in grid.split(",") if x.strip()]
+    if not texts:
+        raise ValueError(f"--grid needs at least one axis value, got {grid!r}")
+    axis = [Fraction(x) for x in texts]
+    for x, text in zip(axis, texts):
+        if not 0 <= x <= 1:
+            raise ValueError(f"--grid values must lie in [0, 1], got {text}")
+    return axis
 
 
 def cmd_simulate(config: RunConfig) -> tuple[list[dict], int]:
     if config.replicas < 100:
-        raise emp.InsufficientReplicasError("simulate needs at least 100 replicas")
+        raise emp.InsufficientReplicasError(
+            f"simulate needs at least 100 replicas, got {config.replicas}")
     axis = _parse_grid(config.grid)
     points = [(s, t) for s in axis for t in axis]
     values = emp.sample_process_values(

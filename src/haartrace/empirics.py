@@ -45,9 +45,6 @@ class TraceField:
     def corner(self, p: int, q: int) -> float:
         return float(self.cumulative[p, q])
 
-    def process(self, s: float, t: float) -> float:
-        return process_value(self, s, t)
-
 
 def trace_field(m: np.ndarray) -> TraceField:
     """Build the prefix-sum grid for one sampled matrix.
@@ -169,48 +166,6 @@ def sample_process_values(group: str, n: int, grid_points: Sequence[GridPoint],
                         columns=max(1, int(qs.max(initial=0))))
 
 
-@dataclass(frozen=True)
-class ProcessSample:
-    """One realization of the centered process on a grid."""
-
-    grid_points: tuple[GridPoint, ...]
-    values: np.ndarray
-
-
-@dataclass
-class ReplicaStats:
-    """Replica-indexed grid values with derived sums and estimators.
-
-    Merging concatenates in argument order, so a deterministic merge tree
-    gives results independent of how replicas were partitioned.
-    """
-
-    grid_points: tuple[GridPoint, ...]
-    values: np.ndarray  # (N, G)
-
-    @property
-    def count(self) -> int:
-        return self.values.shape[0]
-
-    def power_sums(self) -> np.ndarray:
-        """Sums of powers 1..4 per grid point, shape (4, G)."""
-        return np.stack([np.sum(self.values ** r, axis=0) for r in range(1, 5)])
-
-    def cross_products(self) -> np.ndarray:
-        return self.values.T @ self.values
-
-    def merge(self, other: "ReplicaStats") -> "ReplicaStats":
-        if self.grid_points != other.grid_points:
-            raise DimensionError("cannot merge stats over different grids")
-        return ReplicaStats(self.grid_points, np.concatenate([self.values, other.values]))
-
-    def kstats(self, point_index: int) -> "KStats":
-        return kstat_estimators(self.values[:, point_index])
-
-    def covariance(self) -> tuple[np.ndarray, np.ndarray]:
-        return covariance_mc(self.values)
-
-
 # ---------------------------------------------------------------------------
 # k-statistics and covariance with jackknife standard errors
 # ---------------------------------------------------------------------------
@@ -264,8 +219,16 @@ def kstat_estimators(values: Sequence[float]) -> KStats:
 def covariance_mc(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Empirical covariance across grid points with jackknife SEs.
 
-    Returns (estimate, se), both (G, G).  Degenerate columns (identically
-    zero boundary points) produce exact zero rows with zero SE.
+    Returns (estimate, se), both (G, G).  For centred rows a_i and
+    S = sum_i a_i a_i^T, leaving replica i out gives the covariance
+    (S - N/(N-1) a_i a_i^T) / (N-2), so the jackknife variance is
+
+        se^2 = N / ((N-1) (N-2)^2) * [(A o A)^T (A o A) - S o S / N]
+
+    (o the entrywise product): one more G x G product.  Memory is one
+    centred N x G copy of the input plus O(G^2), with no N x G x G array.
+    Degenerate columns (identically zero boundary points) produce exact
+    zero rows with zero SE.
     """
     a = np.asarray(values, dtype=np.float64)
     if a.ndim != 2:
@@ -276,13 +239,9 @@ def covariance_mc(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = a - a.mean(axis=0)
     s_ab = a.T @ a
     est = s_ab / (n - 1)
-    # leave-one-out covariance, vectorized over the removed replica
-    outer_i = np.einsum("ia,ib->iab", a, a)
-    sums = a.sum(axis=0)  # ~0 after centering, kept for exactness
-    rest_mean = (sums[None, :] - a) / (n - 1)
-    cross = np.einsum("ia,ib->iab", rest_mean, rest_mean)
-    cov_i = (s_ab[None, :, :] - outer_i - (n - 1) * cross) / (n - 2)
-    se = np.sqrt(np.maximum(0.0, (n - 1) / n * np.sum((cov_i - cov_i.mean(axis=0)) ** 2, axis=0)))
+    np.square(a, out=a)  # the centred copy is ours; S is already taken from it
+    spread = a.T @ a - s_ab * s_ab / n
+    se = np.sqrt(np.maximum(0.0, n / ((n - 1) * (n - 2) ** 2) * spread))
     return est, se
 
 
@@ -395,6 +354,8 @@ def spectral_compare(n: int, s: float, t: float, replicas: int, master_seed: int
     violations only set a warning flag, the computation proceeds.  The
     corner is floored exactly when s and t are Fractions.
     """
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
     p, q = floor_index(n, s), floor_index(n, t)
     s, t = float(s), float(t)
     if p == 0 or q == 0:
@@ -440,9 +401,6 @@ class BridgeSample:
     beta: int
     values: np.ndarray  # (count, G)
     ridge_applied: bool
-
-    def path(self, i: int) -> ProcessSample:
-        return ProcessSample(self.grid_points, self.values[i])
 
 
 def bridge_reference(grid_points: Sequence[GridPoint], beta: int, seed,

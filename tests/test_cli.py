@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from haartrace.cli import main, run_verification
+from haartrace import empirics
+from haartrace.cli import _parse_grid, main, run_verification
 
 
 def run_cli(tmp_path, *args, fmt="json"):
@@ -167,8 +169,9 @@ def test_usage_error_exit_code():
     assert main(["weingarten", "--n", "3", "--k", "9"]) == 2  # size guard -> usage error
 
 
-def test_insufficient_replicas_is_usage_error():
+def test_insufficient_replicas_is_usage_error(capsys):
     assert main(["simulate", "--n", "20", "--replicas", "5", "--grid", "0.5"]) == 2
+    assert "got 5" in capsys.readouterr().err
 
 
 def test_singular_gram_reported_with_location(capsys):
@@ -243,3 +246,37 @@ def test_spectra_floors_decimal_aspect_ratios_exactly(tmp_path):
     summary = body_records(text)[0]
     assert (summary["p"], summary["q"], summary["expected_mean"]) == (29, 58, 0.58)
     assert json.loads(text)["meta"]["config"]["s"] == 0.29
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled before the input was checked")
+
+
+@pytest.mark.parametrize("grid, named", [("", "''"), (" , ", "' , '"),
+                                         ("1.5", "1.5"), ("0.5,-0.25", "-0.25")],
+                         ids=["empty", "blank", "above-one", "negative"])
+def test_simulate_rejects_bad_grid_before_sampling(grid, named, monkeypatch, capsys):
+    monkeypatch.setattr(empirics, "sample_process_values", _no_sampling)
+    assert main(["simulate", "--n", "20", "--replicas", "100", "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err and named in err
+
+
+def test_grid_axis_keeps_both_endpoints():
+    assert _parse_grid("0,0.5,1") == [Fraction(0), Fraction(1, 2), Fraction(1)]
+
+
+@pytest.mark.parametrize("bins", ["0", "-2"])
+def test_spectra_rejects_nonpositive_bins(bins, monkeypatch, capsys):
+    monkeypatch.setattr(empirics, "map_replicas", _no_sampling)
+    code = main(["spectra", "--n", "20", "--s", "0.3", "--t", "0.5",
+                 "--replicas", "2", "--bins", bins])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bins" in err and f"got {bins}" in err
+
+
+def test_cumulant_malformed_dims_names_chunk(capsys):
+    assert main(["cumulant", "--n", "4", "--dims", "2:3,2"]) == 2
+    err = capsys.readouterr().err
+    assert "'2'" in err and "p:q" in err

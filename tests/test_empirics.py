@@ -1,11 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from haartrace.cumulants import variance_closed, variance_closed_orthogonal
 from haartrace.empirics import (
-    ReplicaStats,
     block_increment,
     bridge_reference,
     covariance_mc,
@@ -150,6 +150,50 @@ def test_kstats_unbiasedness_small_sample():
 # covariance
 # ---------------------------------------------------------------------------
 
+def _covariance_mc_leave_one_out(values):
+    """Reference: the jackknife over explicit leave-one-out covariances."""
+    a = np.asarray(values, dtype=np.float64)
+    n = a.shape[0]
+    a = a - a.mean(axis=0)
+    s_ab = a.T @ a
+    est = s_ab / (n - 1)
+    outer_i = np.einsum("ia,ib->iab", a, a)
+    rest_mean = (a.sum(axis=0)[None, :] - a) / (n - 1)
+    cross = np.einsum("ia,ib->iab", rest_mean, rest_mean)
+    cov_i = (s_ab[None, :, :] - outer_i - (n - 1) * cross) / (n - 2)
+    se = np.sqrt(np.maximum(0.0, (n - 1) / n * np.sum((cov_i - cov_i.mean(axis=0)) ** 2, axis=0)))
+    return est, se
+
+
+@pytest.mark.parametrize("source", ["gaussian", "process"])
+def test_covariance_mc_matches_leave_one_out_reference(source):
+    if source == "gaussian":
+        rng = np.random.default_rng(40)
+        mix = rng.standard_normal((7, 7))
+        vals = rng.standard_normal((2000, 7)) @ mix + rng.standard_normal(7)
+    else:
+        axis = (0.0, 0.25, 0.5, 0.75)
+        vals = sample_process_values("orthogonal", 16, [(s, t) for s in axis for t in axis],
+                                     300, 41)
+    est, se = covariance_mc(vals)
+    ref_est, ref_se = _covariance_mc_leave_one_out(vals)
+    assert np.array_equal(est, ref_est)
+    assert np.allclose(se, ref_se, rtol=1e-12, atol=0.0)
+    assert np.count_nonzero(se) == np.count_nonzero(ref_se)
+
+
+def test_covariance_mc_memory_is_grid_squared_above_input():
+    vals = np.random.default_rng(42).standard_normal((20_000, 81))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        covariance_mc(vals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * vals.nbytes
+
+
 def test_covariance_mc_known_covariance():
     rng = np.random.default_rng(4)
     target = np.array([[1.0, 0.3], [0.3, 0.5]])
@@ -161,10 +205,13 @@ def test_covariance_mc_known_covariance():
 
 def test_covariance_mc_degenerate_column():
     rng = np.random.default_rng(5)
-    vals = np.hstack([rng.standard_normal((500, 1)), np.zeros((500, 1))])
+    vals = np.hstack([rng.standard_normal((500, 1)), np.zeros((500, 1)),
+                      rng.standard_normal((500, 1)), np.zeros((500, 1))])
     est, se = covariance_mc(vals)
-    assert est[0, 1] == est[1, 1] == 0.0
-    assert se[0, 1] == se[1, 1] == 0.0
+    for zero in (1, 3):
+        assert np.all(est[zero] == 0.0) and np.all(est[:, zero] == 0.0)
+        assert np.all(se[zero] == 0.0) and np.all(se[:, zero] == 0.0)
+    assert np.all(se[np.ix_([0, 2], [0, 2])] > 0)
 
 
 def test_covariance_mc_guards():
@@ -203,19 +250,6 @@ def test_exchange_symmetry_of_corner_laws():
     b = sample_process_values("unitary", 48, pts_b, 1200, 92)
     ka, kb = kstat_estimators(a[:, 0]), kstat_estimators(b[:, 0])
     assert abs(ka.k2 - kb.k2) < 3 * math.hypot(ka.se2, kb.se2)
-
-
-def test_replica_stats_merge_and_invariants():
-    pts = ((0.5, 0.5), (0.25, 0.75))
-    vals = sample_process_values("unitary", 16, pts, 32, 7)
-    stats_all = ReplicaStats(pts, vals)
-    merged = ReplicaStats(pts, vals[:20]).merge(ReplicaStats(pts, vals[20:]))
-    assert np.array_equal(stats_all.values, merged.values)
-    assert np.allclose(stats_all.power_sums(), merged.power_sums())
-    ks = stats_all.kstats(0)
-    assert ks.se2 > 0 and ks.se3 > 0 and ks.se4 > 0  # N >= 8: positive SEs
-    with pytest.raises(DimensionError):
-        stats_all.merge(ReplicaStats(((0.1, 0.1),), vals[:, :1]))
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +353,6 @@ def test_bridge_reference_covariance_matches_target():
     for a, (s1, t1) in enumerate(pts):
         for b, (s2, t2) in enumerate(pts):
             assert abs(est[a, b] - limit_covariance(s1, t1, s2, t2, 2)) < 4 * max(se[a, b], 1e-12)
-
-
-def test_bridge_reference_path_view():
-    br = bridge_reference([(0.2, 0.8), (0.5, 0.5)], 1, SeedSpec(20), count=3)
-    path = br.path(1)
-    assert path.grid_points == ((0.2, 0.8), (0.5, 0.5))
-    assert path.values.shape == (2,)
 
 
 # ---------------------------------------------------------------------------
