@@ -197,8 +197,10 @@ def cmd_simulate(config: RunConfig) -> tuple[list[dict], int]:
             if b < a:
                 continue
             (p1, q1), (p2, q2) = dims[a], dims[b]
-            if 0 in (p1, q1, p2, q2):
-                exact = Fraction(0)  # an empty corner is identically zero
+            if 0 in (p1, q1, p2, q2) or config.n in (p1, q1, p2, q2):
+                # W vanishes identically on an empty corner and on the lines s = 1
+                # and t = 1, where T_{n,q} = q and T_{p,n} = p
+                exact = Fraction(0)
             elif config.group == "unitary":
                 exact = cm.covariance_closed(p1, q1, p2, q2, config.n)
             else:
@@ -264,6 +266,7 @@ def _clear_exact_caches() -> None:
     wg._orthogonal_values.cache_clear()
     cm._cycle_set_cumulant.cache_clear()
     cm._coefficient_table.cache_clear()
+    cm._weingarten_matrix.cache_clear()
     cm._block_moment.cache_clear()
 
 

@@ -20,10 +20,21 @@ Both sums are evaluated one way: the dims-independent coefficients of all
 (alpha, beta) pairs are cached per (group, n, r) as one integer matrix C over
 a common denominator D, and a family costs two trace vectors a_i = Tr_{alpha_i},
 b_j = Tr_{beta_j} and one product kappa_r = a^T C b / D.  Everything on this
-path is exact.  An independent
-moment-side oracle (`mixed_trace_moment` fed through `classical_cumulant`)
-recomputes every cumulant from raw joint moments; the two routes are kept
-separate so tests can compare them.
+path is exact.
+
+An independent moment-side oracle (`mixed_trace_moment` fed through
+`classical_cumulant`) recomputes every cumulant from raw joint moments.  A
+block of m trace factors has the moment a^T M b / D_M, with a_alpha =
+Tr_alpha(rows), b_beta = Tr_beta(cols) and the oracle's own integer matrix M
+over a common denominator D_M, cached per (group, n, m):
+
+    unitary:     M_{alpha beta} = Wg(beta alpha^-1)
+    orthogonal:  M_{alpha beta} = 2^(m - #alpha - #beta) sum_eps Wg(sigma(alpha, beta, eps))
+
+M holds plain Weingarten values, not the relative cumulants of the closed
+route's table C, and is built without any closed-route code; the two routes
+share only the Weingarten values and `_sigma_triple`, so tests can compare
+them.
 """
 from __future__ import annotations
 
@@ -328,40 +339,52 @@ def trace_cumulant_diagonal(group: str, row_diags: Sequence[Sequence],
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
+def _weingarten_matrix(group: str, n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer matrix M and common denominator D of the block-moment weights.
+
+    Row i and column j belong to the i-th and j-th permutation of
+    `all_permutations(m)`, taken as alpha and beta: M_ij / D is
+    Wg(beta alpha^-1) (unitary) or 2^(m - #alpha - #beta) times the sum of
+    Wg(sigma(alpha, beta, eps)) over sign vectors eps (orthogonal).
+    """
+    perms = all_permutations(m)
+    signs = list(itertools.product((1, -1), repeat=m))
+
+    def weight(alpha: Permutation, beta: Permutation) -> Fraction:
+        if group == "unitary":
+            return weingarten_unitary(n, (beta * alpha.inverse()).cycle_type())
+        total = sum((weingarten_orthogonal(n, _sigma_triple(m, alpha.images, beta.images,
+                                                            eps).cycle_type())
+                     for eps in signs), Fraction(0))
+        return Fraction(2 ** m, 2 ** (alpha.num_cycles + beta.num_cycles)) * total
+
+    weights = [[weight(alpha, beta) for beta in perms] for alpha in perms]
+    denom = math.lcm(*(w.denominator for row in weights for w in row))
+    table = tuple(tuple(w.numerator * (denom // w.denominator) for w in row) for row in weights)
+    return table, denom
+
+
+@lru_cache(maxsize=None)
 def _block_moment(group: str, n: int, pq: tuple[tuple[int, int], ...]) -> Fraction:
     """Exact E(prod_a T_{p_a, q_a}) for one block of trace factors.
 
     Expands the product of corner sums through the group integration
-    formula; the index-count of each delta pattern is a product of per-cycle
-    corner minima.
+    formula, a^T M b / D with the Weingarten matrix M; the index-count of each
+    delta pattern is a product of per-cycle corner minima, so a_alpha =
+    Tr_alpha(rows) and b_beta = Tr_beta(cols).
     """
     m = len(pq)
     rows = tuple(p for p, _ in pq)
     cols = tuple(q for _, q in pq)
-    total = Fraction(0)
-    if group == "unitary":
-        for alpha in all_permutations(m):
-            tr_rows = projector_trace(alpha, rows)
-            if tr_rows == 0:
-                continue
-            alpha_inv = alpha.inverse()
-            for beta in all_permutations(m):
-                w = weingarten_unitary(n, (beta * alpha_inv).cycle_type())
-                total += w * tr_rows * projector_trace(beta, cols)
-    else:
-        for alpha in all_permutations(m):
-            tr_rows = projector_trace(alpha, rows)
-            if tr_rows == 0:
-                continue
-            for beta in all_permutations(m):
-                lam = Fraction(2 ** m, 2 ** (alpha.num_cycles + beta.num_cycles))
-                tr = lam * tr_rows * projector_trace(beta, cols)
-                if tr == 0:
-                    continue
-                for eps in itertools.product((1, -1), repeat=m):
-                    sigma = _sigma_triple(m, alpha.images, beta.images, eps)
-                    total += weingarten_orthogonal(n, sigma.cycle_type()) * tr
-    return total
+    perms = all_permutations(m)
+    b = [projector_trace(beta, cols) for beta in perms]
+    table, denom = _weingarten_matrix(group, n, m)
+    total = sum(
+        (projector_trace(alpha, rows) * sum(map(operator.mul, row, b))
+         for alpha, row in zip(perms, table)),
+        0,
+    )
+    return Fraction(total, denom)
 
 
 def mixed_trace_moment(group: str, c: SetPartition, family: ProjectorFamily) -> Fraction:

@@ -78,8 +78,15 @@ def floor_index(n: int, x: float | Fraction) -> int:
 
 
 def process_value(f: TraceField, s: float, t: float) -> float:
-    """Centered process W(s,t); right-continuous step interpolation."""
+    """Centered process W(s,t); right-continuous step interpolation.
+
+    W vanishes identically on the axes and on the lines s = 1 and t = 1
+    (T_{n,q} = q and T_{p,n} = p); there the value is an exact 0, not the
+    rounding noise of the sampled corner.
+    """
     p, q = floor_index(f.n, s), floor_index(f.n, t)
+    if f.n in (p, q):
+        return 0.0
     return f.corner(p, q) - p * q / f.n
 
 
@@ -150,20 +157,24 @@ def sample_process_values(group: str, n: int, grid_points: Sequence[GridPoint],
                           replicas: int, master_seed: int, workers: int = 1) -> np.ndarray:
     """Matrix of W values, one row per replica, one column per grid point.
 
-    Equal, value for value, to `process_value` at each point; the corners
+    Equal, value for value, to `process_value` at each point, so points on
+    the axes and on the lines s = 1 and t = 1 give an exact 0; the corners
     and centring are computed once, each replica is one indexed read, and
     only the columns up to the widest corner are sampled.
     """
     pts = tuple(grid_points)
     ps = np.array([floor_index(n, s) for s, _ in pts], dtype=np.intp)
     qs = np.array([floor_index(n, t) for _, t in pts], dtype=np.intp)
+    columns = max(1, int(qs.max(initial=0)))  # from the real corners: same samples
+    full = (ps == n) | (qs == n)
+    ps[full] = qs[full] = 0  # corner (0, 0) reads, and centres to, an exact 0
     centre = ps * qs / n
 
     def row(m: np.ndarray) -> np.ndarray:
         return trace_field(m).cumulative[ps, qs] - centre
 
     return map_replicas(group, n, replicas, master_seed, row, workers=workers,
-                        columns=max(1, int(qs.max(initial=0))))
+                        columns=columns)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +367,10 @@ def spectral_compare(n: int, s: float, t: float, replicas: int, master_seed: int
     """
     if bins < 1:
         raise ValueError(f"bins must be at least 1, got {bins}")
+    if replicas < 2:
+        raise InsufficientReplicasError(
+            f"spectra needs at least 2 replicas for the standard error of the "
+            f"mean eigenvalue, got {replicas}")
     p, q = floor_index(n, s), floor_index(n, t)
     s, t = float(s), float(t)
     if p == 0 or q == 0:

@@ -14,8 +14,10 @@ entries are constant on double cosets of the hyperoctahedral group H_k,
 indexed here by the cycle type extracted by :func:`sigma_of`.
 
 All arithmetic is exact: matrices of integers are inverted by fraction-free
-(Bareiss) Gaussian elimination and results are `fractions.Fraction` values.
-A singular Gram matrix raises; no pseudo-inverse is ever attempted.
+(Bareiss) Gauss-Jordan elimination, which ends at [d I | adj] with d = +-det
+and adj = d A^-1 both integer, so the only division is adj / d at the end.
+Results are `fractions.Fraction` values.  A singular Gram matrix raises; no
+pseudo-inverse is ever attempted.
 
 Tables are memoized per (n, k).  Everything is a pure function of its
 arguments and cache entries are only ever written with the value they will
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,10 +82,22 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise DimensionError("inner dimensions differ")
-        cols = list(zip(*other.entries))
+        # integer numerators over one common denominator per factor, so each
+        # output entry is a single Fraction built from an integer dot product
+        left, d_left = self._over_common_denominator()
+        right, d_right = other._over_common_denominator()
+        cols = list(zip(*right))
+        denom = d_left * d_right
         return RationalMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
+            [[Fraction(sum(map(operator.mul, row, col)), denom) for col in cols]
+             for row in left]
         )
+
+    def _over_common_denominator(self) -> tuple[list[list[int]], int]:
+        """(integer matrix N, D) with self = N / D and D the lcm of all denominators."""
+        denom = math.lcm(*(x.denominator for row in self.entries for x in row))
+        return [[x.numerator * (denom // x.denominator) for x in row]
+                for row in self.entries], denom
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
@@ -95,18 +110,20 @@ class RationalMatrix:
         """Exact inverse; raises SingularGramError on a singular matrix."""
         if self.rows != self.cols:
             raise DimensionError("only square matrices can be inverted")
-        scale = [math.lcm(*(x.denominator for x in row)) for row in self.entries]
-        lifted = [[int(x * s) for x in row] for row, s in zip(self.entries, scale)]
-        inv = _bareiss_inverse(lifted)
-        # self = diag(1/scale) @ lifted, so inverse columns pick up the scales
-        return RationalMatrix(
-            [[inv[i][j] * scale[j] for j in range(self.rows)] for i in range(self.rows)]
-        )
+        lifted, denom = self._over_common_denominator()
+        # self = lifted / denom, so the inverse is denom times lifted's
+        return RationalMatrix([[x * denom for x in row] for row in _bareiss_inverse(lifted)])
 
 
 def _bareiss_inverse(a: list[list[int]]) -> list[list[Fraction]]:
-    """Inverse of an integer matrix: fraction-free forward elimination on the
-    augmented system, then exact rational back substitution."""
+    """Inverse of an integer matrix by fraction-free Gauss-Jordan elimination.
+
+    Each pivot step clears its column above and below the pivot with
+    Bareiss's update row_r <- (pivot * row_r - f * row_pivot) / previous pivot,
+    where every division is exact.  The augmented matrix [A | I] ends as
+    [d I | adj] with d = +-det(A) and adj = d A^-1 integer, so the inverse is
+    adj / d entry by entry; no rational arithmetic runs before that.
+    """
     n = len(a)
     width = 2 * n
     m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
@@ -117,10 +134,15 @@ def _bareiss_inverse(a: list[list[int]]) -> list[list[Fraction]]:
             raise SingularGramError("matrix is exactly singular")
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col]
-            row_r, row_c = m[r], m[col]
+        row_c = m[col]
+        pv = row_c[col]
+        for r in range(n):
+            if r == col:
+                continue
+            row_r = m[r]
+            f = row_r[col]
+            # columns left of the pivot are zero off the diagonal already; their
+            # diagonal (d I at the end) is left stale because it is never read
             for c in range(col + 1, width):
                 num = pv * row_r[c] - f * row_c[c]
                 q, rem = divmod(num, prev)
@@ -128,15 +150,8 @@ def _bareiss_inverse(a: list[list[int]]) -> list[list[Fraction]]:
                 row_r[c] = q
             row_r[col] = 0
         prev = pv
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        di = m[i][i]
-        for c in range(n):
-            s = Fraction(m[i][n + c])
-            for j in range(i + 1, n):
-                s -= m[i][j] * out[j][c]
-            out[i][c] = s / di
-    return out
+    # d is the last pivot, and the right block holds adj
+    return [[Fraction(x, prev) for x in row[n:]] for row in m]
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,16 @@ def test_verification_is_hermetic_after_injection():
     assert ok2
 
 
+def test_verification_leaves_exact_caches_empty():
+    from haartrace import cumulants as cm, weingarten as wg
+    run_verification("quick")
+    caches = [wg._unitary_inverse, wg._unitary_values, wg._orthogonal_inverse,
+              wg._orthogonal_values, cm._cycle_set_cumulant, cm._coefficient_table,
+              cm._weingarten_matrix, cm._block_moment]
+    assert {c.__name__: c.cache_info().currsize for c in caches} == \
+        {c.__name__: 0 for c in caches}
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["weingarten", "--n", "3"])  # missing --k
@@ -222,6 +232,18 @@ def test_simulate_boundary_grid_point(tmp_path):
                              for r in zero_rows)
 
 
+def test_simulate_grid_with_one_passes(tmp_path):
+    # on the lines s = 1 and t = 1, W is identically 0 (T_{n,q} = q, T_{p,n} = p)
+    code, text = run_cli(tmp_path, "simulate", "--n", "64", "--replicas", "300",
+                         "--grid", "0,0.25,0.5,0.75,1", "--master-seed", "9")
+    assert code == 0
+    recs = [r for r in body_records(text) if r["kind"] == "covariance"]
+    edge_rows = [r for r in recs if 1.0 in (r["s"], r["t"], r["s2"], r["t2"])]
+    assert edge_rows and all(
+        r["estimate"] == 0.0 and r["se"] == 0.0 and r["exact"] == "0/1" for r in edge_rows)
+    assert all(r["within_4se_of_exact"] == "true" for r in recs)
+
+
 def test_simulate_floors_decimal_grid_values_exactly(tmp_path):
     # 100 * 0.29 is 28.999999999999996 in floats; the grid point means row 29
     from haartrace.cumulants import limit_covariance, variance_closed
@@ -274,6 +296,15 @@ def test_spectra_rejects_nonpositive_bins(bins, monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "bins" in err and f"got {bins}" in err
+
+
+def test_spectra_rejects_single_replica(monkeypatch, capsys):
+    # one replica has no standard error, which would be written as NaN
+    monkeypatch.setattr(empirics, "map_replicas", _no_sampling)
+    code = main(["spectra", "--n", "20", "--s", "0.3", "--t", "0.5", "--replicas", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "replicas" in err and "got 1" in err
 
 
 def test_cumulant_malformed_dims_names_chunk(capsys):

@@ -328,14 +328,18 @@ def test_moment_oracle_shares_no_code_with_closed_route(monkeypatch):
     def closed_route_called(*args, **kwargs):
         raise AssertionError("the moment oracle reached the closed route")
 
-    for name in ("_coefficient_table", "_closed_cumulant", "trace_cumulant",
+    for name in ("_coefficient_table", "_closed_cumulant", "_pair_coefficient",
+                 "_relative_cumulant", "_cycle_set_cumulant", "trace_cumulant",
                  "trace_cumulant_unitary", "trace_cumulant_orthogonal"):
         monkeypatch.setattr(cm, name, closed_route_called)
-    cm._block_moment.cache_clear()  # memoized block moments would hide a call
+    # memoized Weingarten matrices or block moments would hide a call
+    cm._weingarten_matrix.cache_clear()
+    cm._block_moment.cache_clear()
     try:
         for group, n, dims, want in ORACLE_KNOWN:
             assert cumulant_via_moments(group, ProjectorFamily(n, dims)) == want
     finally:
+        cm._weingarten_matrix.cache_clear()
         cm._block_moment.cache_clear()
 
 

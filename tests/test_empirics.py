@@ -63,6 +63,9 @@ def test_process_value_boundaries():
     assert process_value(f, 0.0, 0.63) == 0.0
     assert process_value(f, 0.63, 0.0) == 0.0
     assert abs(process_value(f, 1.0, 1.0)) < 1e-10
+    # T_{n,q} = q and T_{p,n} = p, so W is an exact 0 on s = 1 and t = 1
+    assert process_value(f, 1.0, 0.63) == 0.0
+    assert process_value(f, 0.63, 1.0) == 0.0
 
 
 def test_process_value_floor_convention():

@@ -64,10 +64,8 @@ def test_singular_matrix_raises():
         RationalMatrix([[1, 2], [2, 4]]).invert()
 
 
-def test_adjugate_oracle_3x3_orthogonal_gram():
-    # exact 3x3 inversion by cofactors, fully independent of the solver
-    n = 4
-    g = [[n**2, n, n], [n, n**2, n], [n, n, n**2]]
+def _cofactor_inverse(g):
+    """Exact 3x3 inverse adj / det by cofactors, fully independent of the solver."""
     det = (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
@@ -77,9 +75,27 @@ def test_adjugate_oracle_3x3_orthogonal_gram():
             sub = [[g[r][c] for c in range(3) if c != j] for r in range(3) if r != i]
             cof = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
             adj[j][i] = (-1) ** (i + j) * cof
-    expected = [[Fraction(adj[i][j], det) for j in range(3)] for i in range(3)]
+    return [[Fraction(adj[i][j]) / det for j in range(3)] for i in range(3)]
+
+
+def test_adjugate_oracle_3x3_orthogonal_gram():
+    n = 4
+    g = [[n**2, n, n], [n, n**2, n], [n, n, n**2]]
     got = gram_orthogonal(2, n).invert()
-    assert [list(row) for row in got.entries] == expected
+    assert [list(row) for row in got.entries] == _cofactor_inverse(g)
+
+
+@pytest.mark.parametrize("g", [
+    [[0, 1, 2], [1, 0, 3], [4, -3, 8]],               # zero first pivot, det -2
+    [[1, 2, 3], [2, 4, 5], [3, 5, 6]],                # zero second pivot, det -1
+    [[Fraction(1, 2), 3, 0], [1, 1, 4], [0, 2, 1]],   # non-integer entries
+], ids=["swap-first-pivot", "swap-second-pivot", "rational"])
+def test_adjugate_oracle_3x3_pivot_swaps_and_rationals(g):
+    m = RationalMatrix(g)
+    inv = m.invert()
+    assert [list(row) for row in inv.entries] == _cofactor_inverse(g)
+    assert (m @ inv).is_identity()
+    assert (inv @ m).is_identity()
 
 
 # ---------------------------------------------------------------------------
