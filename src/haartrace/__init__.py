@@ -78,22 +78,17 @@ from .sampling import (
     orthonormality_residual,
 )
 from .weingarten import (
-    BigRational,
     RationalMatrix,
     SignVector,
-    WeingartenTable,
     eta,
-    gram_orthogonal,
-    gram_unitary,
-    hyperoctahedral_group,
+    gram,
+    gram_inverse,
     joint_moment_orthogonal,
     joint_moment_unitary,
-    orthogonal_table,
-    particular_permutations,
     sigma_of,
     t_of_perm,
     tau_of_signs,
-    unitary_table,
     weingarten_orthogonal,
+    weingarten_table,
     weingarten_unitary,
 )

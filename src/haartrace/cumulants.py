@@ -59,8 +59,7 @@ from .combinatorics import (
 )
 from .errors import DimensionError, OrderViolationError, SizeLimitError
 from .weingarten import (
-    MAX_ORTHOGONAL_ORDER,
-    MAX_UNITARY_ORDER,
+    ORDER_LIMITS,
     sigma_of,
     t_of_perm,
     tau_of_signs,
@@ -68,8 +67,7 @@ from .weingarten import (
     weingarten_unitary,
 )
 
-GROUPS = ("unitary", "orthogonal")
-_ORDER_LIMITS = {"unitary": MAX_UNITARY_ORDER, "orthogonal": MAX_ORTHOGONAL_ORDER}
+GROUPS = tuple(ORDER_LIMITS)
 
 
 @dataclass(frozen=True)
@@ -194,6 +192,9 @@ def _cycle_set_cumulant(group: str, n: int, lengths: tuple[int, ...]) -> Fractio
 
 
 def _relative_cumulant(group: str, pi: Permutation, a: SetPartition, n: int) -> Fraction:
+    limit = ORDER_LIMITS[group]
+    if pi.size > limit:
+        raise SizeLimitError(f"{group} relative cumulants limited to r <= {limit}")
     if a.ground_size != pi.size:
         raise DimensionError("partition and permutation sizes differ")
     if not refines(cycle_partition(pi), a):
@@ -211,15 +212,11 @@ def relative_cumulant_unitary(pi: Permutation, a: SetPartition, n: int) -> Fract
     Defined by the Mobius inversion of block products of Weingarten values
     along the interval [0_pi, A]; it factorizes over the blocks of A.
     """
-    if pi.size > MAX_UNITARY_ORDER:
-        raise SizeLimitError(f"unitary relative cumulants limited to r <= {MAX_UNITARY_ORDER}")
     return _relative_cumulant("unitary", pi, a, n)
 
 
 def relative_cumulant_orthogonal(sigma: Permutation, a: SetPartition, n: int) -> Fraction:
     """Relative cumulant of the orthogonal Weingarten function."""
-    if sigma.size > MAX_ORTHOGONAL_ORDER:
-        raise SizeLimitError(f"orthogonal relative cumulants limited to r <= {MAX_ORTHOGONAL_ORDER}")
     return _relative_cumulant("orthogonal", sigma, a, n)
 
 
@@ -289,7 +286,7 @@ def _closed_cumulant(group: str, n: int, rows: Sequence, cols: Sequence,
     r = len(rows)
     if len(cols) != r:
         raise DimensionError("need matching row and column families")
-    limit = _ORDER_LIMITS[group]
+    limit = ORDER_LIMITS[group]
     if not 1 <= r <= limit:
         raise SizeLimitError(f"{group} trace cumulants limited to r <= {limit}")
     first, second = (cols, rows) if group == "unitary" else (rows, cols)
@@ -396,7 +393,7 @@ def mixed_trace_moment(group: str, c: SetPartition, family: ProjectorFamily) -> 
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}")
-    limit = _ORDER_LIMITS[group]
+    limit = ORDER_LIMITS[group]
     if family.r > limit or c.ground_size != family.r:
         raise SizeLimitError(f"mixed moments limited to r <= {limit} for {group}")
     out = Fraction(1)

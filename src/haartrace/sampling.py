@@ -47,7 +47,8 @@ class SeedSpec:
 
     def __post_init__(self) -> None:
         if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
+            raise ValueError(
+                f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}")
         if self.replica_index < 0:
             raise ValueError("replica_index must be non-negative")
 

@@ -6,12 +6,13 @@ index set, weighted by the inverse of the Gram matrix
     G(p1, p2) = n ** loop(p1, p2)
 
 where loop counts the connected components of the union graph of two
-pairings.  For the unitary group the relevant pairings match plain indices
-with barred ones and are parametrized by S_k; the inverse entry between the
-identity pairing and the pairing of sigma depends only on the cycle type of
-sigma.  For the orthogonal group all pairings of [2k] occur and the inverse
-entries are constant on double cosets of the hyperoctahedral group H_k,
-indexed here by the cycle type extracted by :func:`sigma_of`.
+pairings.  One path, keyed by group, builds G, inverts it and reads the
+Weingarten table off the row of the reference pairing gamma; the groups
+differ only in the pairings that index G.  Unitary pairings match plain
+indices with barred ones and are parametrized by S_k, and the values depend
+only on the cycle type of sigma.  Orthogonal pairings are all pairings of
+[2k], and the values are constant on double cosets of the hyperoctahedral
+group H_k, indexed here by the cycle type extracted by :func:`sigma_of`.
 
 All arithmetic is exact: matrices of integers are inverted by fraction-free
 (Bareiss) Gauss-Jordan elimination, which ends at [d I | adj] with d = +-det
@@ -19,18 +20,16 @@ and adj = d A^-1 both integer, so the only division is adj / d at the end.
 Results are `fractions.Fraction` values.  A singular Gram matrix raises; no
 pseudo-inverse is ever attempted.
 
-Tables are memoized per (n, k).  Everything is a pure function of its
-arguments and cache entries are only ever written with the value they will
-always hold, so concurrent readers and writers get identical results.
+Inverses and read-only tables are memoized per (group, n, k); cache entries
+are only ever written with the value they will always hold.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from .combinatorics import (
@@ -46,13 +45,10 @@ from .combinatorics import (
 )
 from .errors import DimensionError, SingularGramError, SizeLimitError
 
-# Exact arithmetic carrier for all Weingarten and cumulant values.
-BigRational = Fraction
-
 SignVector = tuple[int, ...]
 
-MAX_UNITARY_ORDER = 4
-MAX_ORTHOGONAL_ORDER = 3
+# Largest order k each group's Gram matrix is built for.
+ORDER_LIMITS = {"unitary": 4, "orthogonal": 3}
 
 
 class RationalMatrix:
@@ -69,15 +65,8 @@ class RationalMatrix:
             raise DimensionError("matrix must be rectangular and nonempty")
         self.cols = len(self.entries[0])
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.entries[ij[0]][ij[1]]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -154,99 +143,57 @@ def _bareiss_inverse(a: list[list[int]]) -> list[list[Fraction]]:
     return [[Fraction(x, prev) for x in row[n:]] for row in m]
 
 
-@dataclass(frozen=True)
-class WeingartenTable:
-    """Memoized Weingarten values at fixed n, keyed by cycle type."""
-
-    group: str
-    n: int
-    order: int
-    values: Mapping[CycleType, Fraction]
-
-
 # ---------------------------------------------------------------------------
-# Unitary group
+# Gram matrix, its inverse and the Weingarten table, keyed by group
 # ---------------------------------------------------------------------------
 
-def gram_unitary(k: int, n: int) -> RationalMatrix:
-    """Gram matrix n^loop over the bipartite pairings of [2k] (indexed by S_k)."""
-    if not 1 <= k <= MAX_UNITARY_ORDER:
-        raise SizeLimitError(f"unitary order limited to k <= {MAX_UNITARY_ORDER}, got {k}")
+def pairings(group: str, k: int) -> tuple[Pairing, ...]:
+    """The pairings of [2k] that index the group's order-k Gram matrix.
+
+    Unitary: the bipartite pairings perm_pairing(p) for p in S_k, in the
+    order of all_permutations(k), so index a is permutation a.  Orthogonal:
+    all (2k-1)!! pairings of [2k].
+    """
+    limit = ORDER_LIMITS[group]
+    if not 1 <= k <= limit:
+        raise SizeLimitError(f"{group} order limited to 1 <= k <= {limit}, got {k}")
+    if group == "unitary":
+        return tuple(perm_pairing(p) for p in all_permutations(k))
+    return enumerate_pairings(2 * k)
+
+
+def gram(group: str, k: int, n: int) -> RationalMatrix:
+    """Gram matrix n^loop(p1, p2) over pairings(group, k)."""
+    index = pairings(group, k)
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
-    pairings = [perm_pairing(p) for p in all_permutations(k)]
-    return RationalMatrix(
-        [[n ** loop_count(p1, p2) for p2 in pairings] for p1 in pairings]
-    )
-
-
-def unitary_gram_weingarten(k: int, n: int):
-    """(permutation index, Gram, exact inverse) for the unitary order-k block."""
-    perms = all_permutations(k)
-    gram = gram_unitary(k, n)
-    return perms, gram, _unitary_inverse(n, k)
+    return RationalMatrix([[n ** loop_count(p1, p2) for p2 in index] for p1 in index])
 
 
 @lru_cache(maxsize=None)
-def _unitary_inverse(n: int, k: int) -> RationalMatrix:
-    return gram_unitary(k, n).invert()
+def gram_inverse(group: str, n: int, k: int) -> RationalMatrix:
+    """Exact inverse of gram(group, k, n); for unitary, inv[a, b] = Wg(b a^-1)."""
+    return gram(group, k, n).invert()
 
 
 @lru_cache(maxsize=None)
-def _unitary_values(n: int, k: int) -> Mapping[CycleType, Fraction]:
-    perms = all_permutations(k)
-    inv = _unitary_inverse(n, k)
-    identity_idx = perms.index(Permutation.identity(k))
-    values: dict[CycleType, Fraction] = {}
-    for idx, perm in enumerate(perms):
-        key = perm.cycle_type()
-        val = inv[identity_idx, idx]
-        assert values.setdefault(key, val) == val, "Weingarten value not a class function"
-    return values
+def weingarten_table(group: str, n: int, k: int) -> Mapping[CycleType, Fraction]:
+    """Read-only Weingarten values at (group, n, k), keyed by cycle type.
 
-
-def unitary_table(n: int, k: int) -> WeingartenTable:
-    return WeingartenTable("unitary", n, k, dict(_unitary_values(n, k)))
-
-
-def weingarten_unitary(n: int, sigma: Union[Permutation, CycleType]) -> Fraction:
-    """Exact unitary Weingarten value W(n, sigma); class function of sigma."""
-    key = sigma.cycle_type() if isinstance(sigma, Permutation) else tuple(sigma)
-    k = sum(key)
-    if not 1 <= k <= MAX_UNITARY_ORDER:
-        raise SizeLimitError(f"unitary order limited to k <= {MAX_UNITARY_ORDER}, got {k}")
-    return _unitary_values(n, k)[key]
-
-
-def joint_moment_unitary(i: Sequence[int], j: Sequence[int], n: int) -> Fraction:
-    """Exact E(U_{i1 j1} .. U_{ik jk} conj U_{i1' j1'} .. conj U_{ik' jk'}).
-
-    Index tuples have length 2k and list the k unconjugated factors first.
-    The sum runs over permutation pairs whose delta constraints the tuples
-    satisfy, weighted by W(n, beta alpha^{-1}).
+    The value at the cycle type of sigma in S_k is the inverse entry between
+    gamma = perm_pairing(identity) and perm_pairing(sigma): Wg(sigma) for
+    the unitary group, and the value on the double coset of t_sigma for the
+    orthogonal one.
     """
-    if len(i) != len(j) or len(i) % 2 != 0:
-        raise ValueError("index tuples must have equal even length")
-    k = len(i) // 2
-    if not 1 <= k <= MAX_UNITARY_ORDER:
-        raise SizeLimitError(f"unitary order limited to k <= {MAX_UNITARY_ORDER}, got {k}")
-    if any(not 1 <= x <= n for x in (*i, *j)):
-        raise ValueError("matrix indices out of range")
-    values = _unitary_values(n, k)
-    perms = all_permutations(k)
-
-    def admissible(idx: Sequence[int]) -> list[Permutation]:
-        return [
-            p for p in perms
-            if all(idx[s - 1] == idx[k + p(s) - 1] for s in range(1, k + 1))
-        ]
-
-    total = Fraction(0)
-    for alpha in admissible(i):
-        alpha_inv = alpha.inverse()
-        for beta in admissible(j):
-            total += values[(beta * alpha_inv).cycle_type()]
-    return total
+    index = {p: a for a, p in enumerate(pairings(group, k))}
+    inv = gram_inverse(group, n, k)
+    row = index[gamma_pairing(k)]
+    values: dict[CycleType, Fraction] = {}
+    for sigma in all_permutations(k):
+        key = sigma.cycle_type()
+        val = inv[row, index[perm_pairing(sigma)]]
+        assert values.setdefault(key, val) == val, f"{group} Weingarten value not constant on {key}"
+    return MappingProxyType(values)
 
 
 # ---------------------------------------------------------------------------
@@ -277,47 +224,6 @@ def tau_of_signs(eps: SignVector) -> Permutation:
         if e == -1:
             images[idx - 1], images[k + idx - 1] = k + idx, idx
     return Permutation(tuple(images))
-
-
-def particular_permutations(k: int) -> list[tuple[SignVector, Permutation]]:
-    """All pairs (eps, pi) with eps = +1 at the minimum of every cycle of pi.
-
-    These parametrize the cosets of the hyperoctahedral group in S_2k; there
-    are (2k)! / (2^k k!) of them.
-    """
-    if not 1 <= k <= MAX_UNITARY_ORDER:
-        raise SizeLimitError(f"particular permutations limited to k <= {MAX_UNITARY_ORDER}")
-    out: list[tuple[SignVector, Permutation]] = []
-    for pi in all_permutations(k):
-        minima = {c[0] for c in pi.cycles()}
-        free = [i for i in range(1, k + 1) if i not in minima]
-        for signs in itertools.product((1, -1), repeat=len(free)):
-            eps = [1] * k
-            for pos, s in zip(free, signs):
-                eps[pos - 1] = s
-            out.append((tuple(eps), pi))
-    return out
-
-
-@lru_cache(maxsize=None)
-def hyperoctahedral_group(k: int) -> tuple[Permutation, ...]:
-    """The centralizer H_k of the pairing gamma in S_2k (2^k k! elements).
-
-    Elements permute the gamma-pairs and optionally flip within each pair.
-    Enumerated only for small k; the production path never needs the list.
-    """
-    if not 1 <= k <= 3:
-        raise SizeLimitError(f"H_k enumeration limited to k <= 3, got {k}")
-    out: list[Permutation] = []
-    for rho in all_permutations(k):
-        for flips in itertools.product((1, -1), repeat=k):
-            images = [0] * (2 * k)
-            for i in range(1, k + 1):
-                target = rho(i) if flips[i - 1] == 1 else k + rho(i)
-                images[i - 1] = target
-                images[k + i - 1] = bar(target, k)
-            out.append(Permutation(tuple(images)))
-    return tuple(out)
 
 
 def sigma_of(big_sigma: Permutation) -> Permutation:
@@ -352,47 +258,13 @@ def sigma_of(big_sigma: Permutation) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# Orthogonal group
+# Weingarten values and joint entry moments
 # ---------------------------------------------------------------------------
 
-def gram_orthogonal(k: int, n: int) -> RationalMatrix:
-    """Gram matrix n^loop over all (2k-1)!! pairings of [2k]."""
-    if not 1 <= k <= MAX_ORTHOGONAL_ORDER:
-        raise SizeLimitError(f"orthogonal order limited to k <= {MAX_ORTHOGONAL_ORDER}, got {k}")
-    if n < 1:
-        raise ValueError(f"matrix size must be positive, got {n}")
-    pairings = enumerate_pairings(2 * k)
-    return RationalMatrix(
-        [[n ** loop_count(p1, p2) for p2 in pairings] for p1 in pairings]
-    )
-
-
-def orthogonal_gram_weingarten(k: int, n: int):
-    """(pairings, Gram, exact inverse) for the orthogonal order-k block."""
-    return enumerate_pairings(2 * k), gram_orthogonal(k, n), _orthogonal_inverse(n, k)
-
-
-@lru_cache(maxsize=None)
-def _orthogonal_inverse(n: int, k: int) -> RationalMatrix:
-    return gram_orthogonal(k, n).invert()
-
-
-@lru_cache(maxsize=None)
-def _orthogonal_values(n: int, k: int) -> Mapping[CycleType, Fraction]:
-    pairings = enumerate_pairings(2 * k)
-    index = {p: i for i, p in enumerate(pairings)}
-    inv = _orthogonal_inverse(n, k)
-    gamma_idx = index[gamma_pairing(k)]
-    values: dict[CycleType, Fraction] = {}
-    for perm in all_permutations(k):
-        key = perm.cycle_type()
-        val = inv[gamma_idx, index[perm_pairing(perm)]]
-        assert values.setdefault(key, val) == val, "orthogonal Weingarten not coset-invariant"
-    return values
-
-
-def orthogonal_table(n: int, k: int) -> WeingartenTable:
-    return WeingartenTable("orthogonal", n, k, dict(_orthogonal_values(n, k)))
+def weingarten_unitary(n: int, sigma: Union[Permutation, CycleType]) -> Fraction:
+    """Exact unitary Weingarten value W(n, sigma); class function of sigma."""
+    key = sigma.cycle_type() if isinstance(sigma, Permutation) else tuple(sigma)
+    return weingarten_table("unitary", n, sum(key))[key]
 
 
 def weingarten_orthogonal(n: int, key: Union[Permutation, CycleType]) -> Fraction:
@@ -401,36 +273,42 @@ def weingarten_orthogonal(n: int, key: Union[Permutation, CycleType]) -> Fractio
     Accepts either a permutation of [2k] (reduced through sigma_of) or the
     cycle type of the extracted representative directly.
     """
-    if isinstance(key, Permutation):
-        coset = sigma_of(key).cycle_type()
-    else:
-        coset = tuple(key)
-    k = sum(coset)
-    if not 1 <= k <= MAX_ORTHOGONAL_ORDER:
-        raise SizeLimitError(f"orthogonal order limited to k <= {MAX_ORTHOGONAL_ORDER}, got {k}")
-    return _orthogonal_values(n, k)[coset]
+    coset = sigma_of(key).cycle_type() if isinstance(key, Permutation) else tuple(key)
+    return weingarten_table("orthogonal", n, sum(coset))[coset]
+
+
+def _joint_moment(group: str, i: Sequence[int], j: Sequence[int], n: int) -> Fraction:
+    """Sum of gram_inverse entries over the pairing pairs both tuples admit.
+
+    A pairing is admissible for an index tuple when it pairs equal indices
+    only.  For the unitary group the unconjugated factors come first, so
+    perm_pairing(alpha) is admissible exactly when i_s = i_{k + alpha(s)}.
+    """
+    if len(i) != len(j) or len(i) % 2 != 0:
+        raise ValueError("index tuples must have equal even length")
+    k = len(i) // 2
+    index = pairings(group, k)
+    if any(not 1 <= x <= n for x in (*i, *j)):
+        raise ValueError("matrix indices out of range")
+    inv = gram_inverse(group, n, k)
+
+    def admissible(idx: Sequence[int]) -> list[int]:
+        return [a for a, p in enumerate(index)
+                if all(idx[x - 1] == idx[y - 1] for x, y in p.pairs())]
+
+    return sum((inv[a, b] for a in admissible(i) for b in admissible(j)), Fraction(0))
+
+
+def joint_moment_unitary(i: Sequence[int], j: Sequence[int], n: int) -> Fraction:
+    """Exact E(U_{i1 j1} .. U_{ik jk} conj U_{i1' j1'} .. conj U_{ik' jk'}).
+
+    Index tuples have length 2k and list the k unconjugated factors first.
+    The sum runs over permutation pairs whose delta constraints the tuples
+    satisfy, weighted by W(n, beta alpha^{-1}).
+    """
+    return _joint_moment("unitary", i, j, n)
 
 
 def joint_moment_orthogonal(i: Sequence[int], j: Sequence[int], n: int) -> Fraction:
     """Exact E(O_{i1 j1} ... O_{i2k j2k}) as a sum over pairing pairs."""
-    if len(i) != len(j) or len(i) % 2 != 0:
-        raise ValueError("index tuples must have equal even length")
-    k = len(i) // 2
-    if not 1 <= k <= MAX_ORTHOGONAL_ORDER:
-        raise SizeLimitError(f"orthogonal order limited to k <= {MAX_ORTHOGONAL_ORDER}, got {k}")
-    if any(not 1 <= x <= n for x in (*i, *j)):
-        raise ValueError("matrix indices out of range")
-    pairings = enumerate_pairings(2 * k)
-    inv = _orthogonal_inverse(n, k)
-
-    def admissible(idx: Sequence[int]) -> list[int]:
-        return [
-            pos for pos, p in enumerate(pairings)
-            if all(idx[a - 1] == idx[b - 1] for a, b in p.pairs())
-        ]
-
-    total = Fraction(0)
-    for a in admissible(i):
-        for b in admissible(j):
-            total += inv[a, b]
-    return total
+    return _joint_moment("orthogonal", i, j, n)

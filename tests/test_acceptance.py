@@ -46,10 +46,10 @@ from haartrace.sampling import (
     orthonormality_residual,
 )
 from haartrace.weingarten import (
+    gram,
+    gram_inverse,
     joint_moment_orthogonal,
     joint_moment_unitary,
-    orthogonal_gram_weingarten,
-    unitary_gram_weingarten,
     weingarten_orthogonal,
     weingarten_unitary,
 )
@@ -103,12 +103,10 @@ def test_criterion_01_exact_moment_identities(announce):
 def test_criterion_02_weingarten_tables(announce):
     for k in (1, 2, 3, 4):
         for n in (4, 5, 6, 7, 8):
-            _, gram, inv = unitary_gram_weingarten(k, n)
-            assert (gram @ inv).is_identity()
+            assert (gram("unitary", k, n) @ gram_inverse("unitary", n, k)).is_identity()
     for k in (1, 2, 3):
         for n in (6, 7, 8, 9, 10):
-            _, gram, inv = orthogonal_gram_weingarten(k, n)
-            assert (gram @ inv).is_identity()
+            assert (gram("orthogonal", k, n) @ gram_inverse("orthogonal", n, k)).is_identity()
     for n in range(4, 11):
         assert weingarten_unitary(n, (1, 1)) == Fraction(1, n * n - 1)
         assert weingarten_unitary(n, (2,)) == Fraction(-1, n * (n * n - 1))

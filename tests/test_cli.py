@@ -165,9 +165,8 @@ def test_verification_is_hermetic_after_injection():
 def test_verification_leaves_exact_caches_empty():
     from haartrace import cumulants as cm, weingarten as wg
     run_verification("quick")
-    caches = [wg._unitary_inverse, wg._unitary_values, wg._orthogonal_inverse,
-              wg._orthogonal_values, cm._cycle_set_cumulant, cm._coefficient_table,
-              cm._weingarten_matrix, cm._block_moment]
+    caches = [wg.gram_inverse, wg.weingarten_table, cm._cycle_set_cumulant,
+              cm._coefficient_table, cm._weingarten_matrix, cm._block_moment]
     assert {c.__name__: c.cache_info().currsize for c in caches} == \
         {c.__name__: 0 for c in caches}
 
@@ -177,6 +176,20 @@ def test_usage_error_exit_code():
         main(["weingarten", "--n", "3"])  # missing --k
     assert exc.value.code == 2
     assert main(["weingarten", "--n", "3", "--k", "9"]) == 2  # size guard -> usage error
+
+
+@pytest.mark.parametrize("group, limit", [("unitary", 4), ("orthogonal", 3)])
+def test_weingarten_order_zero_names_group_range(capsys, group, limit):
+    assert main(["weingarten", "--group", group, "--n", "4", "--k", "0"]) == 2
+    assert f"{group} order limited to 1 <= k <= {limit}, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_bad_master_seed_names_value(capsys, seed):
+    assert main(["simulate", "--n", "8", "--replicas", "100", "--grid", "0.5",
+                 "--master-seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert f"master_seed must be an unsigned 64-bit integer, got {seed}" in err
 
 
 def test_insufficient_replicas_is_usage_error(capsys):

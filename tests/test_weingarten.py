@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from haartrace.combinatorics import (
     Permutation,
     all_permutations,
+    bar,
     enumerate_pairings,
     gamma_pairing,
     loop_count,
@@ -18,20 +20,15 @@ from haartrace.sampling import haar_batch
 from haartrace.weingarten import (
     RationalMatrix,
     eta,
-    gram_orthogonal,
-    gram_unitary,
-    hyperoctahedral_group,
+    gram,
+    gram_inverse,
     joint_moment_orthogonal,
     joint_moment_unitary,
-    orthogonal_gram_weingarten,
-    orthogonal_table,
-    particular_permutations,
     sigma_of,
     t_of_perm,
     tau_of_signs,
-    unitary_gram_weingarten,
-    unitary_table,
     weingarten_orthogonal,
+    weingarten_table,
     weingarten_unitary,
 )
 
@@ -81,7 +78,7 @@ def _cofactor_inverse(g):
 def test_adjugate_oracle_3x3_orthogonal_gram():
     n = 4
     g = [[n**2, n, n], [n, n**2, n], [n, n, n**2]]
-    got = gram_orthogonal(2, n).invert()
+    got = gram("orthogonal", 2, n).invert()
     assert [list(row) for row in got.entries] == _cofactor_inverse(g)
 
 
@@ -104,15 +101,15 @@ def test_adjugate_oracle_3x3_pivot_swaps_and_rationals(g):
 
 def test_gram_unitary_small():
     for n in (1, 3, 7):
-        assert gram_unitary(1, n).entries == ((Fraction(n),),)
-        g2 = gram_unitary(2, n)
+        assert gram("unitary", 1, n).entries == ((Fraction(n),),)
+        g2 = gram("unitary", 2, n)
         assert g2.entries == ((Fraction(n * n), Fraction(n)), (Fraction(n), Fraction(n * n)))
 
 
 def test_gram_unitary_matches_loop_oracle():
     n, k = 5, 3
     perms = all_permutations(k)
-    g = gram_unitary(k, n)
+    g = gram("unitary", k, n)
     for i, a in enumerate(perms):
         for j, b in enumerate(perms):
             assert g[i, j] == n ** loop_count(perm_pairing(a), perm_pairing(b))
@@ -131,7 +128,7 @@ def test_weingarten_unitary_closed_forms():
 
 def test_weingarten_unitary_class_function():
     for k in (2, 3):
-        perms, _, inv = unitary_gram_weingarten(k, 5)
+        perms, inv = all_permutations(k), gram_inverse("unitary", 5, k)
         ididx = perms.index(Permutation.identity(k))
         for tau in perms:
             for sig in perms:
@@ -142,12 +139,10 @@ def test_weingarten_unitary_class_function():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_gram_times_weingarten_identity_full_range(k):
     for n in range(2 * k, 2 * k + 5):
-        _, gram, inv = unitary_gram_weingarten(k, n)
-        assert (gram @ inv).is_identity()
+        assert (gram("unitary", k, n) @ gram_inverse("unitary", n, k)).is_identity()
     if k <= 3:
         for n in range(2 * k, 2 * k + 5):
-            _, gram, inv = orthogonal_gram_weingarten(k, n)
-            assert (gram @ inv).is_identity()
+            assert (gram("orthogonal", k, n) @ gram_inverse("orthogonal", n, k)).is_identity()
 
 
 def test_singular_gram_is_error_not_pseudoinverse():
@@ -165,9 +160,9 @@ def test_order_guards():
     with pytest.raises(SizeLimitError):
         weingarten_orthogonal(10, (1, 1, 1, 1))
     with pytest.raises(SizeLimitError):
-        gram_unitary(5, 10)
+        gram("unitary", 5, 10)
     with pytest.raises(SizeLimitError):
-        gram_orthogonal(4, 10)
+        gram("orthogonal", 4, 10)
 
 
 def test_weingarten_unitary_monte_carlo():
@@ -184,6 +179,42 @@ def test_weingarten_unitary_monte_carlo():
 # ---------------------------------------------------------------------------
 # hyperoctahedral machinery
 # ---------------------------------------------------------------------------
+
+def particular_permutations(k):
+    """All pairs (eps, pi) with eps = +1 at the minimum of every cycle of pi.
+
+    These parametrize the cosets of the hyperoctahedral group in S_2k; there
+    are (2k)! / (2^k k!) of them.
+    """
+    out = []
+    for pi in all_permutations(k):
+        minima = {c[0] for c in pi.cycles()}
+        free = [i for i in range(1, k + 1) if i not in minima]
+        for signs in itertools.product((1, -1), repeat=len(free)):
+            eps = [1] * k
+            for pos, s in zip(free, signs):
+                eps[pos - 1] = s
+            out.append((tuple(eps), pi))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def hyperoctahedral_group(k):
+    """The centralizer H_k of the pairing gamma in S_2k (2^k k! elements).
+
+    Elements permute the gamma-pairs and optionally flip within each pair.
+    """
+    out = []
+    for rho in all_permutations(k):
+        for flips in itertools.product((1, -1), repeat=k):
+            images = [0] * (2 * k)
+            for i in range(1, k + 1):
+                target = rho(i) if flips[i - 1] == 1 else k + rho(i)
+                images[i - 1] = target
+                images[k + i - 1] = bar(target, k)
+            out.append(Permutation(tuple(images)))
+    return tuple(out)
+
 
 def test_eta_basics():
     k = 3
@@ -262,7 +293,7 @@ def test_sigma_of_lands_in_the_same_double_coset():
 def test_sigma_of_reproduces_gram_inverse_full_s4():
     pairings = enumerate_pairings(4)
     index = {p: i for i, p in enumerate(pairings)}
-    _, _, inv = orthogonal_gram_weingarten(2, 5)
+    inv = gram_inverse("orthogonal", 5, 2)
     gidx = index[gamma_pairing(2)]
     for big in all_permutations(4):
         assert weingarten_orthogonal(5, big) == inv[gidx, index[eta(big)]]
@@ -274,7 +305,7 @@ def test_sigma_of_reproduces_gram_inverse_full_s4():
 
 def test_gram_orthogonal_k2_structure():
     for n in (3, 4, 6):
-        g = gram_orthogonal(2, n)
+        g = gram("orthogonal", 2, n)
         assert g.rows == g.cols == 3
         for i in range(3):
             for j in range(3):
@@ -290,8 +321,7 @@ def test_weingarten_orthogonal_closed_forms():
 
 def test_orthogonal_gram_weingarten_identity():
     for k, n in [(1, 3), (2, 4), (3, 6), (3, 4)]:
-        _, gram, inv = orthogonal_gram_weingarten(k, n)
-        assert (gram @ inv).is_identity()
+        assert (gram("orthogonal", k, n) @ gram_inverse("orthogonal", n, k)).is_identity()
 
 
 def test_weingarten_orthogonal_double_coset_invariance():
@@ -305,11 +335,13 @@ def test_weingarten_orthogonal_double_coset_invariance():
 
 
 def test_tables_are_memoized_views():
-    t1 = unitary_table(5, 2)
-    assert t1.group == "unitary" and t1.n == 5 and t1.order == 2
-    assert t1.values[(1, 1)] == Fraction(1, 24)
-    t2 = orthogonal_table(4, 2)
-    assert t2.values[(1, 1)] == Fraction(5, 72)
+    t1 = weingarten_table("unitary", 5, 2)
+    with pytest.raises(TypeError):
+        t1[(1, 1)] = Fraction(0)  # type: ignore[index]
+    assert weingarten_table("unitary", 5, 2) is t1
+    assert t1[(1, 1)] == Fraction(1, 24)
+    t2 = weingarten_table("orthogonal", 4, 2)
+    assert t2[(1, 1)] == Fraction(5, 72)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +368,59 @@ def test_joint_moment_orthogonal_paper_values():
         assert joint_moment_orthogonal((1, 2, 1, 2), (1, 2, 1, 2), n) == \
             Fraction(n + 1, n * (n + 2) * (n - 1))
         assert joint_moment_orthogonal((1, 1, 1, 1), (1, 1, 1, 2), n) == 0
+
+
+def _joint_moment_unitary_reference(i, j, n):
+    """Sum of W(n, beta alpha^-1) over the permutation pairs the tuples admit."""
+    k = len(i) // 2
+
+    def admissible(idx):
+        return [p for p in all_permutations(k)
+                if all(idx[s - 1] == idx[k + p(s) - 1] for s in range(1, k + 1))]
+
+    return sum((weingarten_unitary(n, beta * alpha.inverse())
+                for alpha in admissible(i) for beta in admissible(j)), Fraction(0))
+
+
+def _loop_type(p1, p2):
+    """Half the sizes of the components of the union graph of two pairings."""
+    seen, halves = set(), []
+    for start in range(1, p1.size + 1):
+        if start in seen:
+            continue
+        x, size = start, 0
+        while x not in seen:
+            seen.update((x, p1.partner_of(x)))
+            size += 1
+            x = p2.partner_of(p1.partner_of(x))
+        halves.append(size)
+    return tuple(sorted(halves, reverse=True))
+
+
+def _joint_moment_orthogonal_reference(i, j, n):
+    """Sum of the orthogonal Weingarten value at the loop type of each admitted pairing pair."""
+    k = len(i) // 2
+
+    def admissible(idx):
+        return [p for p in enumerate_pairings(2 * k)
+                if all(idx[a - 1] == idx[b - 1] for a, b in p.pairs())]
+
+    return sum((weingarten_orthogonal(n, _loop_type(p, q))
+                for p in admissible(i) for q in admissible(j)), Fraction(0))
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+def test_joint_moments_match_references_on_two_indices(group):
+    got_fn, ref_fn = {
+        "unitary": (joint_moment_unitary, _joint_moment_unitary_reference),
+        "orthogonal": (joint_moment_orthogonal, _joint_moment_orthogonal_reference),
+    }[group]
+    for k in (1, 2, 3):
+        tuples = list(itertools.product((1, 2), repeat=2 * k))
+        for n in (4, 5, 6):
+            for i in tuples:
+                for j in tuples:
+                    assert got_fn(i, j, n) == ref_fn(i, j, n), (i, j, n)
 
 
 def test_joint_moment_index_validation():
