@@ -9,15 +9,9 @@ acceptance run, with all knobs exposed.
 """
 import argparse
 import math
-from fractions import Fraction
 
-from haartrace.cumulants import (
-    CumulantRequest,
-    ProjectorFamily,
-    covariance_closed,
-    limit_covariance,
-    trace_cumulant_orthogonal,
-)
+from haartrace.cli import parse_grid
+from haartrace.cumulants import limit_covariance, process_covariance
 from haartrace.empirics import covariance_mc, floor_index, sample_process_values
 
 
@@ -31,7 +25,10 @@ def main() -> None:
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
-    axis = [Fraction(x) for x in args.axis.split(",")]  # exact decimals floor exactly
+    try:
+        axis = parse_grid(args.axis, "--axis")
+    except ValueError as exc:
+        ap.error(str(exc))
     points = [(s, t) for s in axis for t in axis]
     beta = 2 if args.group == "unitary" else 1
 
@@ -50,12 +47,7 @@ def main() -> None:
         for b in range(a, len(points)):
             s1, t1 = points[a]
             s2, t2 = points[b]
-            if args.group == "unitary":
-                exact = float(covariance_closed(*dims[a], *dims[b], args.n))
-            else:
-                fam = ProjectorFamily(args.n, (dims[a], dims[b]))
-                exact = float(trace_cumulant_orthogonal(
-                    CumulantRequest("orthogonal", 2, fam)))
+            exact = float(process_covariance(args.group, args.n, dims[a], dims[b]))
             limit = limit_covariance(s1, t1, s2, t2, beta)
             z = abs(est[a, b] - exact) / se[a, b] if se[a, b] else 0.0
             worst = max(worst, z)
@@ -65,7 +57,7 @@ def main() -> None:
     print(f"worst |z| vs exact finite-n: {worst:.2f} "
           f"(4 is the acceptance threshold; limit policy adds 0.01 slack)")
     finite_gap = max(
-        abs(float(covariance_closed(*d1, *d2, args.n)) - limit_covariance(*x1, *x2, 2))
+        abs(float(process_covariance(args.group, args.n, d1, d2)) - limit_covariance(*x1, *x2, 2))
         for d1, x1 in zip(dims, points) for d2, x2 in zip(dims, points)
     ) if args.group == "unitary" else math.nan
     print(f"largest finite-n bias vs limit on this grid: {finite_gap:.2e}")

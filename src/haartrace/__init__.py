@@ -34,6 +34,7 @@ from .cumulants import (
     fourth_central_moment,
     limit_covariance,
     mixed_trace_moment,
+    process_covariance,
     projector_trace,
     relative_cumulant_orthogonal,
     relative_cumulant_unitary,

@@ -165,15 +165,15 @@ def cmd_cumulant(config: RunConfig) -> tuple[list[dict], int]:
     return [record], 0
 
 
-def _parse_grid(grid: str) -> list[Fraction]:
+def parse_grid(grid: str, flag: str = "--grid") -> list[Fraction]:
     """Axis values as exact decimals, so flooring n * value needs no rounding."""
     texts = [x.strip() for x in grid.split(",") if x.strip()]
     if not texts:
-        raise ValueError(f"--grid needs at least one axis value, got {grid!r}")
+        raise ValueError(f"{flag} needs at least one axis value, got {grid!r}")
     axis = [Fraction(x) for x in texts]
     for x, text in zip(axis, texts):
         if not 0 <= x <= 1:
-            raise ValueError(f"--grid values must lie in [0, 1], got {text}")
+            raise ValueError(f"{flag} values must lie in [0, 1], got {text}")
     return axis
 
 
@@ -181,7 +181,7 @@ def cmd_simulate(config: RunConfig) -> tuple[list[dict], int]:
     if config.replicas < 100:
         raise emp.InsufficientReplicasError(
             f"simulate needs at least 100 replicas, got {config.replicas}")
-    axis = _parse_grid(config.grid)
+    axis = parse_grid(config.grid)
     points = [(s, t) for s in axis for t in axis]
     values = emp.sample_process_values(
         config.group, config.n, points, config.replicas,
@@ -195,16 +195,7 @@ def cmd_simulate(config: RunConfig) -> tuple[list[dict], int]:
         for b, (s2, t2) in enumerate(points):
             if b < a:
                 continue
-            (p1, q1), (p2, q2) = dims[a], dims[b]
-            if 0 in (p1, q1, p2, q2) or config.n in (p1, q1, p2, q2):
-                # W vanishes identically on an empty corner and on the lines s = 1
-                # and t = 1, where T_{n,q} = q and T_{p,n} = p
-                exact = Fraction(0)
-            elif config.group == "unitary":
-                exact = cm.covariance_closed(p1, q1, p2, q2, config.n)
-            else:
-                fam = cm.ProjectorFamily(config.n, ((p1, q1), (p2, q2)))
-                exact = cm.trace_cumulant_orthogonal(cm.CumulantRequest("orthogonal", 2, fam))
+            exact = cm.process_covariance(config.group, config.n, dims[a], dims[b])
             limit = cm.limit_covariance(s1, t1, s2, t2, beta)
             records.append({
                 "kind": "covariance",
@@ -268,32 +259,24 @@ def _clear_exact_caches() -> None:
 
 
 def _check_mobius_inversion(kmax: int):
-    count, failures = 0, []
     for k in range(1, kmax + 1):
         parts = comb.enumerate_partitions(k)
         for b in parts:
             below_b = [c for c in parts if comb.refines(c, b)]
             for a in below_b:
                 total = sum(comb.mobius(c, b) for c in below_b if comb.refines(a, c))
-                count += 1
-                if total != (1 if a == b else 0):
-                    failures.append(f"k={k} A={a} B={b} sum={total}")
-    return count, failures
+                yield total == (1 if a == b else 0), f"k={k} A={a} B={b} sum={total}"
 
 
 def _check_gram_inverse(group: str, orders: list[int], sizes: list[int]):
-    count, failures = 0, []
     for k in orders:
         for n in sizes:
-            count += 1
-            if not (wg.gram(group, k, n) @ wg.gram_inverse(group, n, k)).is_identity():
-                failures.append(f"{group} k={k} n={n}")
-    return count, failures
+            yield ((wg.gram(group, k, n) @ wg.gram_inverse(group, n, k)).is_identity(),
+                   f"{group} k={k} n={n}")
 
 
 def _check_closed_weingarten(sizes: list[int], offsets: dict[tuple[str, int], Fraction]):
     """Closed forms at each n; offsets[(name, n)] is added to the looked-up value."""
-    count, failures = 0, []
     for n in sizes:
         checks = [
             (wg.weingarten_unitary(n, (1,)), Fraction(1, n), "unitary k=1"),
@@ -309,10 +292,7 @@ def _check_closed_weingarten(sizes: list[int], offsets: dict[tuple[str, int], Fr
         ]
         for got, want, name in checks:
             got += offsets.get((name, n), 0)
-            count += 1
-            if got != want:
-                failures.append(f"{name} at n={n}: {got} != {want}")
-    return count, failures
+            yield got == want, f"{name} at n={n}: {got} != {want}"
 
 
 def _distinct_dim_samples(n: int, r: int, how_many: int, seed: int):
@@ -322,7 +302,6 @@ def _distinct_dim_samples(n: int, r: int, how_many: int, seed: int):
 
 
 def _check_oracle_equivalence(group: str, rmax: int, sizes: list[int], samples: int):
-    count, failures = 0, []
     for n in sizes:
         for r in range(1, rmax + 1):
             families = [tuple(((p, q),) * r) for p in range(1, n + 1) for q in range(1, n + 1)]
@@ -332,14 +311,10 @@ def _check_oracle_equivalence(group: str, rmax: int, sizes: list[int], samples: 
                 fam = cm.ProjectorFamily(n, dims)
                 lhs = cm.trace_cumulant(cm.CumulantRequest(group, r, fam))
                 rhs = cm.cumulant_via_moments(group, fam)
-                count += 1
-                if lhs != rhs:
-                    failures.append(f"{group} n={n} r={r} dims={dims}: {lhs} != {rhs}")
-    return count, failures
+                yield lhs == rhs, f"{group} n={n} r={r} dims={dims}: {lhs} != {rhs}"
 
 
 def _check_covariance_closed(sizes: list[int]):
-    count, failures = 0, []
     for n in sizes:
         for p in range(1, n + 1):
             for q in range(1, n + 1):
@@ -347,66 +322,55 @@ def _check_covariance_closed(sizes: list[int]):
                     for q2 in range(1, n + 1):
                         fam = cm.ProjectorFamily(n, ((p, q), (p2, q2)))
                         got = cm.trace_cumulant_unitary(cm.CumulantRequest("unitary", 2, fam))
-                        count += 1
-                        if got != cm.covariance_closed(p, q, p2, q2, n):
-                            failures.append(f"n={n} ({p},{q},{p2},{q2})")
-    return count, failures
+                        yield (got == cm.covariance_closed(p, q, p2, q2, n),
+                               f"n={n} ({p},{q},{p2},{q2})")
 
 
 def _check_variance_orthogonal(sizes: list[int]):
-    count, failures = 0, []
     for n in sizes:
         for p in range(1, n + 1):
             for q in range(1, n + 1):
                 fam = cm.ProjectorFamily.uniform(p, q, 2, n)
                 got = cm.trace_cumulant_orthogonal(cm.CumulantRequest("orthogonal", 2, fam))
-                count += 1
-                if got != cm.variance_closed_orthogonal(p, q, n):
-                    failures.append(f"n={n} ({p},{q})")
-    return count, failures
+                yield got == cm.variance_closed_orthogonal(p, q, n), f"n={n} ({p},{q})"
 
 
 def run_verification(scope: str = "default", inject_error: bool = False):
-    """Run the exact-identity suite; returns (all_ok, result rows)."""
+    """Run the exact-identity suite; returns (all_ok, result rows).
+
+    Each check yields one (ok, detail) per case; a row counts the cases and
+    reports the first failing detail.
+    """
     # test mode: perturb one looked-up Weingarten value; no cache entry changes
     offsets = {("unitary id2", 4): Fraction(1, 10**9)} if inject_error else {}
+    # identity, check, quick arguments, default arguments
+    suite = [
+        ("mobius-inversion", _check_mobius_inversion, (4,), (5,)),
+        ("gram-inverse-unitary", _check_gram_inverse,
+         ("unitary", [1, 2, 3], [4]), ("unitary", [1, 2, 3, 4], [4, 6, 8])),
+        ("gram-inverse-orthogonal", _check_gram_inverse,
+         ("orthogonal", [1, 2], [6]), ("orthogonal", [1, 2, 3], [6, 8, 10])),
+        ("weingarten-closed-forms", _check_closed_weingarten,
+         ([4, 6], offsets), ([4, 5, 6, 7, 8], offsets)),
+        ("oracle-equivalence-unitary", _check_oracle_equivalence,
+         ("unitary", 2, [4], 4), ("unitary", 4, [4, 5, 6], 6)),
+        ("oracle-equivalence-orthogonal", _check_oracle_equivalence,
+         ("orthogonal", 2, [4], 4), ("orthogonal", 3, [4, 5, 6], 6)),
+        ("covariance-closed-form", _check_covariance_closed, ([4],), ([4, 5, 6],)),
+        ("variance-closed-form-orthogonal", _check_variance_orthogonal, ([4],), ([5, 6],)),
+    ]
     _clear_exact_caches()
     try:
-        if scope == "quick":
-            checks = [
-                ("mobius-inversion", lambda: _check_mobius_inversion(4)),
-                ("gram-inverse-unitary", lambda: _check_gram_inverse("unitary", [1, 2, 3], [4])),
-                ("gram-inverse-orthogonal", lambda: _check_gram_inverse("orthogonal", [1, 2], [6])),
-                ("weingarten-closed-forms", lambda: _check_closed_weingarten([4, 6], offsets)),
-                ("oracle-equivalence-unitary",
-                 lambda: _check_oracle_equivalence("unitary", 2, [4], samples=4)),
-                ("oracle-equivalence-orthogonal",
-                 lambda: _check_oracle_equivalence("orthogonal", 2, [4], samples=4)),
-                ("covariance-closed-form", lambda: _check_covariance_closed([4])),
-                ("variance-closed-form-orthogonal", lambda: _check_variance_orthogonal([4])),
-            ]
-        else:
-            checks = [
-                ("mobius-inversion", lambda: _check_mobius_inversion(5)),
-                ("gram-inverse-unitary",
-                 lambda: _check_gram_inverse("unitary", [1, 2, 3, 4], [4, 6, 8])),
-                ("gram-inverse-orthogonal",
-                 lambda: _check_gram_inverse("orthogonal", [1, 2, 3], [6, 8, 10])),
-                ("weingarten-closed-forms",
-                 lambda: _check_closed_weingarten([4, 5, 6, 7, 8], offsets)),
-                ("oracle-equivalence-unitary",
-                 lambda: _check_oracle_equivalence("unitary", 4, [4, 5, 6], samples=6)),
-                ("oracle-equivalence-orthogonal",
-                 lambda: _check_oracle_equivalence("orthogonal", 3, [4, 5, 6], samples=6)),
-                ("covariance-closed-form", lambda: _check_covariance_closed([4, 5, 6])),
-                ("variance-closed-form-orthogonal", lambda: _check_variance_orthogonal([5, 6])),
-            ]
         results = []
-        for name, fn in checks:
-            count, failures = fn()
+        for identity, check, quick, default in suite:
+            args = quick if scope == "quick" else default
+            failures = []
+            for cases, (ok, detail) in enumerate(check(*args), 1):
+                if not ok:
+                    failures.append(detail)
             results.append({
-                "identity": name,
-                "checks": count,
+                "identity": identity,
+                "checks": cases,
                 "failures": len(failures),
                 "status": "pass" if not failures else "FAIL",
                 "detail": failures[0] if failures else "",

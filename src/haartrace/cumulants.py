@@ -438,6 +438,21 @@ def covariance_closed(p: int, q: int, p2: int, q2: int, n: int) -> Fraction:
     )
 
 
+def process_covariance(group: str, n: int, d1: tuple[int, int], d2: tuple[int, int]) -> Fraction:
+    """Exact covariance of the centered corner traces at corners d1 = (p, q), d2.
+
+    W vanishes identically on an empty corner and on the lines s = 1 and
+    t = 1, where T_{n,q} = q and T_{p,n} = p, so a corner side in {0, n}
+    gives 0.
+    """
+    if 0 in (*d1, *d2) or n in (*d1, *d2):
+        return Fraction(0)
+    if group == "unitary":
+        return covariance_closed(*d1, *d2, n)
+    fam = ProjectorFamily(n, (d1, d2))
+    return trace_cumulant_orthogonal(CumulantRequest("orthogonal", 2, fam))
+
+
 def variance_closed_orthogonal(p: int, q: int, n: int) -> Fraction:
     """Exact variance of the orthogonal corner trace T_{p,q}."""
     _check_dims(n, p, q)

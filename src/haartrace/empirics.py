@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionError, InsufficientReplicasError, OrderViolationError
 from .cumulants import limit_covariance
-from .sampling import SeedSpec, haar_sample, keep_sample_memory, single_threaded_blas
+from .sampling import SeedSpec, _as_seed, haar_sample, keep_sample_memory, single_threaded_blas
 
 GridPoint = tuple[float, float]
 
@@ -440,8 +440,7 @@ def bridge_reference(grid_points: Sequence[GridPoint], beta: int, seed,
         if w.min() < -tol:
             raise ArithmeticError("bridge covariance is not positive semidefinite")
     root = vecs * np.sqrt(np.clip(w, 0.0, None))
-    rng = seed.rng() if isinstance(seed, SeedSpec) else SeedSpec(int(seed)).rng()
-    z = rng.standard_normal((count, g))
+    z = _as_seed(seed).rng().standard_normal((count, g))
     return BridgeSample(pts, beta, z @ root.T, ridge_applied)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from haartrace import empirics
-from haartrace.cli import _parse_grid, main, run_verification
+from haartrace.cli import main, parse_grid, run_verification
 
 
 def run_cli(tmp_path, *args, fmt="json"):
@@ -155,6 +155,22 @@ def test_verify_inject_error_fails_with_named_identity(tmp_path):
     assert "weingarten-closed-forms" in failing
 
 
+def test_verify_tallies_every_failing_case(monkeypatch):
+    from haartrace import cumulants as cm
+    closed = cm.covariance_closed
+
+    def off_when_p_is_one(p, q, p2, q2, n):
+        return closed(p, q, p2, q2, n) + (Fraction(1, 10**9) if p == 1 else 0)
+
+    monkeypatch.setattr(cm, "covariance_closed", off_when_p_is_one)
+    ok, rows = run_verification("quick")
+    assert not ok
+    failing = [r for r in rows if r["status"] != "pass"]
+    assert [r["identity"] for r in failing] == ["covariance-closed-form"]
+    assert failing[0] == {"identity": "covariance-closed-form", "checks": 256,
+                          "failures": 64, "status": "FAIL", "detail": "n=4 (1,1,1,1)"}
+
+
 def test_verification_is_hermetic_after_injection():
     ok, _ = run_verification("quick", inject_error=True)
     assert not ok
@@ -298,7 +314,7 @@ def test_simulate_rejects_bad_grid_before_sampling(grid, named, monkeypatch, cap
 
 
 def test_grid_axis_keeps_both_endpoints():
-    assert _parse_grid("0,0.5,1") == [Fraction(0), Fraction(1, 2), Fraction(1)]
+    assert parse_grid("0,0.5,1") == [Fraction(0), Fraction(1, 2), Fraction(1)]
 
 
 @pytest.mark.parametrize("bins", ["0", "-2"])
