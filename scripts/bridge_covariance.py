@@ -10,9 +10,14 @@ acceptance run, with all knobs exposed.
 import argparse
 import math
 
-from haartrace.cli import parse_grid
+from haartrace.cli import parse_grid, worker_count
 from haartrace.cumulants import limit_covariance, process_covariance
-from haartrace.empirics import covariance_mc, floor_index, sample_process_values
+from haartrace.empirics import (
+    check_covariance_replicas,
+    covariance_mc,
+    floor_index,
+    sample_process_values,
+)
 
 
 def main() -> None:
@@ -22,11 +27,12 @@ def main() -> None:
     ap.add_argument("--replicas", type=int, default=5000)
     ap.add_argument("--axis", default="0.25,0.5,0.75")
     ap.add_argument("--master-seed", type=int, default=2027)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=worker_count, default=1)
     args = ap.parse_args()
 
     try:
         axis = parse_grid(args.axis, "--axis")
+        check_covariance_replicas(args.replicas)
     except ValueError as exc:
         ap.error(str(exc))
     points = [(s, t) for s in axis for t in axis]

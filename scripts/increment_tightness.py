@@ -23,8 +23,11 @@ def main() -> None:
     levels = tuple(int(x) for x in args.levels.split(","))
     constants = []
     for n in (int(x) for x in args.sizes.split(",")):
-        fit = increment_fourth_moment_fit(args.group, n, args.replicas,
-                                          args.master_seed, levels=levels)
+        try:
+            fit = increment_fourth_moment_fit(args.group, n, args.replicas,
+                                              args.master_seed, levels=levels)
+        except ValueError as exc:
+            ap.error(str(exc))
         constants.append(fit.c_max)
         print(f"n={n:4d}: fitted C = {fit.c_max:8.3f}  over {len(fit.blocks)} blocks")
         for lev in levels:

@@ -24,8 +24,11 @@ def main() -> None:
     ap.add_argument("--master-seed", type=int, default=1005)
     args = ap.parse_args()
 
-    res = spectral_compare(args.n, args.s, args.t, args.replicas,
-                           args.master_seed, group=args.group, bins=args.bins)
+    try:
+        res = spectral_compare(args.n, args.s, args.t, args.replicas,
+                               args.master_seed, group=args.group, bins=args.bins)
+    except ValueError as exc:
+        ap.error(str(exc))
     for warning in res.warnings:
         print(f"warning: {warning}")
     print(f"{'bin':>14}  {'empirical':>10}  {'reference':>10}")

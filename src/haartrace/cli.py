@@ -178,9 +178,7 @@ def parse_grid(grid: str, flag: str = "--grid") -> list[Fraction]:
 
 
 def cmd_simulate(config: RunConfig) -> tuple[list[dict], int]:
-    if config.replicas < 100:
-        raise emp.InsufficientReplicasError(
-            f"simulate needs at least 100 replicas, got {config.replicas}")
+    emp.check_covariance_replicas(config.replicas)  # before any replica is sampled
     axis = parse_grid(config.grid)
     points = [(s, t) for s in axis for t in axis]
     values = emp.sample_process_values(
@@ -254,7 +252,7 @@ def _clear_exact_caches() -> None:
     wg.weingarten_table.cache_clear()
     cm._cycle_set_cumulant.cache_clear()
     cm._coefficient_table.cache_clear()
-    cm._weingarten_matrix.cache_clear()
+    cm._moment_matrix.cache_clear()
     cm._block_moment.cache_clear()
 
 
@@ -389,7 +387,7 @@ def cmd_verify(config: RunConfig) -> tuple[list[dict], int]:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _worker_count(text: str) -> int:
+def worker_count(text: str) -> int:
     try:
         count = int(text)
     except ValueError:
@@ -416,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--master-seed", type=int, default=0)
             # a string default goes through `type` too, so a bad environment
             # value is a usage error like a bad flag
-            p.add_argument("--workers", type=_worker_count,
+            p.add_argument("--workers", type=worker_count,
                            default=os.environ.get("HAARTRACE_WORKERS", "1"))
 
     p = sub.add_parser("weingarten", help="exact Weingarten table at (group, n, k)")

@@ -23,18 +23,17 @@ b_j = Tr_{beta_j} and one product kappa_r = a^T C b / D.  Everything on this
 path is exact.
 
 An independent moment-side oracle (`mixed_trace_moment` fed through
-`classical_cumulant`) recomputes every cumulant from raw joint moments.  A
-block of m trace factors has the moment a^T M b / D_M, with a_alpha =
-Tr_alpha(rows), b_beta = Tr_beta(cols) and the oracle's own integer matrix M
-over a common denominator D_M, cached per (group, n, m):
+`classical_cumulant`) recomputes every cumulant from raw joint moments by the
+Weingarten integration formula (Collins and Sniady, CMP 264, 2006), the same
+for both groups: a block of m trace factors has the moment
 
-    unitary:     M_{alpha beta} = Wg(beta alpha^-1)
-    orthogonal:  M_{alpha beta} = 2^(m - #alpha - #beta) sum_eps Wg(sigma(alpha, beta, eps))
+    E(prod_a T_{p_a, q_a}) = sum_{pi, sigma} Tr_pi(rows) Tr_sigma(cols) G^-1[pi, sigma]
 
-M holds plain Weingarten values, not the relative cumulants of the closed
-route's table C, and is built without any closed-route code; the two routes
-share only the Weingarten values and `_sigma_triple`, so tests can compare
-them.
+over the pairings that index the Gram matrix G.  Tr_pi depends only on the
+loops of pi with gamma_pairing(m), a set partition of [m], so G^-1 summed
+over those partitions is one integer matrix M over a common denominator per
+(group, n, m), and a block costs a^T M b / D_M.  The two routes share only
+`gram_inverse`, so tests can compare them.
 """
 from __future__ import annotations
 
@@ -52,6 +51,7 @@ from .combinatorics import (
     all_permutations,
     cycle_partition,
     enumerate_partitions,
+    gamma_pairing,
     join,
     mobius,
     one_partition,
@@ -60,6 +60,8 @@ from .combinatorics import (
 from .errors import DimensionError, OrderViolationError, SizeLimitError
 from .weingarten import (
     ORDER_LIMITS,
+    gram_inverse,
+    pairings,
     sigma_of,
     t_of_perm,
     tau_of_signs,
@@ -336,52 +338,42 @@ def trace_cumulant_diagonal(group: str, row_diags: Sequence[Sequence],
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _weingarten_matrix(group: str, n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _moment_matrix(group: str, n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Integer matrix M and common denominator D of the block-moment weights.
 
-    Row i and column j belong to the i-th and j-th permutation of
-    `all_permutations(m)`, taken as alpha and beta: M_ij / D is
-    Wg(beta alpha^-1) (unitary) or 2^(m - #alpha - #beta) times the sum of
-    Wg(sigma(alpha, beta, eps)) over sign vectors eps (orthogonal).
+    Row A and column B run over `enumerate_partitions(m)`.  M[A, B] / D sums
+    gram_inverse(group, n, m)[pi, sigma] over the pairings pi and sigma whose
+    loops with gamma_pairing(m), restricted to the labels 1..m, form A and B;
+    for a unitary pairing perm_pairing(alpha) these are the cycles of alpha.
     """
-    perms = all_permutations(m)
-    signs = list(itertools.product((1, -1), repeat=m))
-
-    def weight(alpha: Permutation, beta: Permutation) -> Fraction:
-        if group == "unitary":
-            return weingarten_unitary(n, (beta * alpha.inverse()).cycle_type())
-        total = sum((weingarten_orthogonal(n, _sigma_triple(m, alpha.images, beta.images,
-                                                            eps).cycle_type())
-                     for eps in signs), Fraction(0))
-        return Fraction(2 ** m, 2 ** (alpha.num_cycles + beta.num_cycles)) * total
-
-    weights = [[weight(alpha, beta) for beta in perms] for alpha in perms]
-    denom = math.lcm(*(w.denominator for row in weights for w in row))
-    table = tuple(tuple(w.numerator * (denom // w.denominator) for w in row) for row in weights)
-    return table, denom
+    index = {part: i for i, part in enumerate(enumerate_partitions(m))}
+    gamma = gamma_pairing(m).as_partition()
+    loops = [index[SetPartition.of(m, [[a for a in block if a <= m] for block in
+                                       join(p.as_partition(), gamma).blocks])]
+             for p in pairings(group, m)]
+    inverse, denom = gram_inverse(group, n, m)._over_common_denominator()
+    table = [[0] * len(index) for _ in index]
+    for a, row in zip(loops, inverse):
+        for b, x in zip(loops, row):
+            table[a][b] += x
+    return tuple(map(tuple, table)), denom
 
 
 @lru_cache(maxsize=None)
 def _block_moment(group: str, n: int, pq: tuple[tuple[int, int], ...]) -> Fraction:
     """Exact E(prod_a T_{p_a, q_a}) for one block of trace factors.
 
-    Expands the product of corner sums through the group integration
-    formula, a^T M b / D with the Weingarten matrix M; the index-count of each
-    delta pattern is a product of per-cycle corner minima, so a_alpha =
-    Tr_alpha(rows) and b_beta = Tr_beta(cols).
+    By the Weingarten integration formula the product of corner sums is the
+    sum over pairings pi, sigma of Tr_pi(rows) Tr_sigma(cols) G^-1[pi, sigma].
+    A pairing admits the indices constant on the blocks of its loop partition
+    A, so Tr_pi(dims) is the product of per-block minima of dims, and the
+    moment is a^T M b / D with a_A = Tr_A(rows) and b_B = Tr_B(cols).
     """
-    m = len(pq)
-    rows = tuple(p for p, _ in pq)
-    cols = tuple(q for _, q in pq)
-    perms = all_permutations(m)
-    b = [projector_trace(beta, cols) for beta in perms]
-    table, denom = _weingarten_matrix(group, n, m)
-    total = sum(
-        (projector_trace(alpha, rows) * sum(map(operator.mul, row, b))
-         for alpha, row in zip(perms, table)),
-        0,
-    )
-    return Fraction(total, denom)
+    parts = enumerate_partitions(len(pq))
+    a, b = ([math.prod(min(pq[x - 1][side] for x in block) for block in part.blocks)
+             for part in parts] for side in (0, 1))
+    table, denom = _moment_matrix(group, n, len(pq))
+    return Fraction(sum(x * sum(map(operator.mul, row, b)) for x, row in zip(a, table)), denom)
 
 
 def mixed_trace_moment(group: str, c: SetPartition, family: ProjectorFamily) -> Fraction:

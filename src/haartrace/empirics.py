@@ -227,6 +227,12 @@ def kstat_estimators(values: Sequence[float]) -> KStats:
     return KStats(n, float(k2), float(k3), float(k4), *ses)
 
 
+def check_covariance_replicas(replicas: int) -> None:
+    """Raise InsufficientReplicasError unless `covariance_mc` accepts this many rows."""
+    if replicas < 100:
+        raise InsufficientReplicasError(f"covariance needs at least 100 replicas, got {replicas}")
+
+
 def covariance_mc(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Empirical covariance across grid points with jackknife SEs.
 
@@ -245,8 +251,7 @@ def covariance_mc(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if a.ndim != 2:
         raise DimensionError("expected a replicas x grid-points matrix")
     n = a.shape[0]
-    if n < 100:
-        raise InsufficientReplicasError(f"covariance needs at least 100 replicas, got {n}")
+    check_covariance_replicas(n)
     a = a - a.mean(axis=0)
     s_ab = a.T @ a
     est = s_ab / (n - 1)
@@ -468,6 +473,8 @@ def increment_fourth_moment_fit(group: str, n: int, replicas: int, master_seed: 
                                 levels: Sequence[int] = (1, 2, 3),
                                 workers: int = 1) -> IncrementFit:
     """Estimate E[increment^4] over dyadic blocks and fit the scaling constant."""
+    if replicas < 2:
+        raise InsufficientReplicasError(f"increment fit needs at least 2 replicas, got {replicas}")
     blocks: list[tuple[int, int, int, int, int]] = []
     for lev in levels:
         cells = 2 ** lev

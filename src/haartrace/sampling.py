@@ -79,31 +79,31 @@ def _column_count(n: int, columns: int | None) -> int:
     return columns
 
 
-def _phase_fix_unitary(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _gauge_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Scale each column of Q by the unit phase d / |d| of R's diagonal entry.
+
+    For real d that is exactly +-1.0; a zero diagonal entry leaves its column.
+    """
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mod = np.abs(d)
     phase = np.where(mod > 0, d / np.where(mod > 0, mod, 1.0), 1.0)
     return q * phase[..., None, :]
 
 
-def _sign_fix_orthogonal(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    sign = np.where(d >= 0, 1.0, -1.0)
-    return q * sign[..., None, :]
+def _haar(n: int, seed, columns: int | None, complex_case: bool) -> np.ndarray:
+    cols = _column_count(n, columns)
+    q, r = np.linalg.qr(_ginibre(_as_seed(seed).rng(), n, cols, complex_case))
+    return _gauge_fix(q, r)
 
 
 def haar_unitary(n: int, seed, columns: int | None = None) -> np.ndarray:
     """Leading `columns` (default all n) of one Haar n x n unitary for the SeedSpec."""
-    cols = _column_count(n, columns)
-    q, r = np.linalg.qr(_ginibre(_as_seed(seed).rng(), n, cols, True))
-    return _phase_fix_unitary(q, r)
+    return _haar(n, seed, columns, True)
 
 
 def haar_orthogonal(n: int, seed, columns: int | None = None) -> np.ndarray:
     """Leading `columns` (default all n) of one Haar n x n orthogonal for the SeedSpec."""
-    cols = _column_count(n, columns)
-    q, r = np.linalg.qr(_ginibre(_as_seed(seed).rng(), n, cols, False))
-    return _sign_fix_orthogonal(q, r)
+    return _haar(n, seed, columns, False)
 
 
 def haar_sample(group: str, n: int, seed, columns: int | None = None) -> np.ndarray:
@@ -132,7 +132,7 @@ def haar_batch(group: str, n: int, count: int, master_seed: int,
         for idx in range(lo, hi):
             z[idx - lo] = _ginibre(SeedSpec(master_seed, start + idx).rng(), n, n, complex_case)
         q, r = np.linalg.qr(z)
-        out[lo:hi] = _phase_fix_unitary(q, r) if complex_case else _sign_fix_orthogonal(q, r)
+        out[lo:hi] = _gauge_fix(q, r)
     return out
 
 

@@ -182,7 +182,7 @@ def test_verification_leaves_exact_caches_empty():
     from haartrace import cumulants as cm, weingarten as wg
     run_verification("quick")
     caches = [wg.gram_inverse, wg.weingarten_table, cm._cycle_set_cumulant,
-              cm._coefficient_table, cm._weingarten_matrix, cm._block_moment]
+              cm._coefficient_table, cm._moment_matrix, cm._block_moment]
     assert {c.__name__: c.cache_info().currsize for c in caches} == \
         {c.__name__: 0 for c in caches}
 

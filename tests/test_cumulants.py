@@ -330,17 +330,35 @@ def test_moment_oracle_shares_no_code_with_closed_route(monkeypatch):
 
     for name in ("_coefficient_table", "_closed_cumulant", "_pair_coefficient",
                  "_relative_cumulant", "_cycle_set_cumulant", "trace_cumulant",
-                 "trace_cumulant_unitary", "trace_cumulant_orthogonal"):
+                 "trace_cumulant_unitary", "trace_cumulant_orthogonal", "_sigma_triple",
+                 "projector_trace", "weingarten_unitary", "weingarten_orthogonal"):
         monkeypatch.setattr(cm, name, closed_route_called)
-    # memoized Weingarten matrices or block moments would hide a call
-    cm._weingarten_matrix.cache_clear()
+    # memoized moment matrices or block moments would hide a call
+    cm._moment_matrix.cache_clear()
     cm._block_moment.cache_clear()
     try:
         for group, n, dims, want in ORACLE_KNOWN:
             assert cumulant_via_moments(group, ProjectorFamily(n, dims)) == want
     finally:
-        cm._weingarten_matrix.cache_clear()
+        cm._moment_matrix.cache_clear()
         cm._block_moment.cache_clear()
+
+
+def test_coset_mutant_is_caught_by_the_oracle(monkeypatch):
+    # a _sigma_triple that ignores the sign vector breaks the closed
+    # orthogonal route; an oracle sharing that code would move with it
+    import haartrace.cumulants as cm
+    from haartrace.cli import run_verification
+    from haartrace.weingarten import sigma_of, t_of_perm
+
+    def no_signs(r, alpha_images, beta_images, eps):
+        return sigma_of(t_of_perm(Permutation(alpha_images).inverse())
+                        * t_of_perm(Permutation(beta_images)))
+
+    monkeypatch.setattr(cm, "_sigma_triple", no_signs)
+    _, rows = run_verification("quick")
+    row = next(r for r in rows if r["identity"] == "oracle-equivalence-orthogonal")
+    assert row["failures"] > 0
 
 
 def test_trace_cumulant_r3_equals_oracle_spec_example():

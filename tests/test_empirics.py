@@ -369,3 +369,15 @@ def test_increment_fit_smoke():
     assert np.all(fit.fourth_moments >= 0)
     # level-1 blocks of an n=32 field have dp = dq = 16
     assert all(dp == 16 for (lev, i, j, dp, dq) in fit.blocks if lev == 1)
+
+
+@pytest.mark.parametrize("replicas", [0, 1])
+def test_increment_fit_rejects_too_few_replicas_before_sampling(monkeypatch, replicas):
+    from haartrace import empirics
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("a replica was sampled")
+
+    monkeypatch.setattr(empirics, "map_replicas", sampled)
+    with pytest.raises(InsufficientReplicasError, match=f"got {replicas}$"):
+        increment_fourth_moment_fit("unitary", 16, replicas, master_seed=21)

@@ -8,6 +8,7 @@ from haartrace.empirics import map_replicas, process_value, sample_process_value
 from haartrace.errors import DimensionError
 from haartrace.sampling import (
     SeedSpec,
+    _gauge_fix,
     _mallopt,
     _openblas_thread_calls,
     haar_batch,
@@ -67,6 +68,20 @@ def test_n_equals_one():
     assert abs(abs(u[0, 0]) - 1.0) < 1e-15
     signs = {np.sign(haar_orthogonal(1, SeedSpec(3, i))[0, 0]) for i in range(32)}
     assert signs == {-1.0, 1.0}
+
+
+def test_real_gauge_fix_is_the_sign_rule():
+    # one phase formula serves both groups: for real R it must give exactly
+    # the sign of each diagonal entry, with 0 and -0.0 keeping their column
+    rng = np.random.default_rng(8)
+    q = rng.standard_normal((3, 6, 6))
+    r = rng.standard_normal((3, 6, 6))
+    r[0, 1, 1], r[1, 2, 2], r[2, 3, 3] = 0.0, -0.0, -1e-300
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    want = q * np.where(d >= 0, 1.0, -1.0)[..., None, :]
+    got = _gauge_fix(q, r)
+    assert got.dtype == np.float64 and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_unitary_entry_second_moment():

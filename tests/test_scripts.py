@@ -1,4 +1,4 @@
-"""The experiment scripts run end to end at tiny sizes."""
+"""The experiment scripts run end to end at tiny sizes and reject bad input."""
 import os
 import subprocess
 import sys
@@ -7,6 +7,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script, args):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("script, args, summary", [
@@ -21,10 +29,20 @@ ROOT = Path(__file__).resolve().parents[1]
 ], ids=["bridge_covariance", "bridge_covariance_axis_endpoints", "spectral_limit",
         "increment_tightness"])
 def test_script_runs_and_prints_summary(script, args, summary):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = _run(script, args)
     assert done.returncode == 0, done.stderr
     assert summary in done.stdout
+
+
+@pytest.mark.parametrize("script, args, named", [
+    ("bridge_covariance.py", ["--n", "8", "--replicas", "50", "--axis", "0.5"], "got 50"),
+    ("bridge_covariance.py", ["--n", "8", "--replicas", "200", "--workers", "0"], "got '0'"),
+    ("spectral_limit.py", ["--n", "8", "--replicas", "1"], "got 1"),
+    ("increment_tightness.py", ["--sizes", "16", "--replicas", "1"], "got 1"),
+], ids=["bridge_covariance_replicas", "bridge_covariance_workers", "spectral_limit_replicas",
+        "increment_tightness_replicas"])
+def test_script_rejects_bad_input_before_sampling(script, args, named):
+    done = _run(script, args)
+    assert done.returncode == 2, done.stderr
+    assert named in done.stderr and "Traceback" not in done.stderr
+    assert done.stdout == ""  # nothing sampled, nothing printed
