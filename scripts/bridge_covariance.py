@@ -33,16 +33,16 @@ def main() -> None:
     try:
         axis = parse_grid(args.axis, "--axis")
         check_covariance_replicas(args.replicas)
+        points = [(s, t) for s in axis for t in axis]
+        dims = [(floor_index(args.n, s), floor_index(args.n, t)) for s, t in points]
     except ValueError as exc:
         ap.error(str(exc))
-    points = [(s, t) for s in axis for t in axis]
     beta = 2 if args.group == "unitary" else 1
 
     print(f"sampling {args.replicas} replicas of {args.group} n={args.n} ...")
     values = sample_process_values(args.group, args.n, points, args.replicas,
                                    args.master_seed, workers=args.workers)
     est, se = covariance_mc(values)
-    dims = [(floor_index(args.n, s), floor_index(args.n, t)) for s, t in points]
     points = [(float(s), float(t)) for s, t in points]
 
     header = f"{'pair':>24}  {'estimate':>10}  {'se':>8}  {'exact':>10}  {'limit':>10}  {'z':>6}"

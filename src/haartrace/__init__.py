@@ -79,11 +79,11 @@ from .sampling import (
     orthonormality_residual,
 )
 from .weingarten import (
-    RationalMatrix,
     SignVector,
     eta,
     gram,
     gram_inverse,
+    is_inverse,
     joint_moment_orthogonal,
     joint_moment_unitary,
     sigma_of,

@@ -119,11 +119,9 @@ def meet(a: SetPartition, b: SetPartition) -> SetPartition:
     return SetPartition.of(a.ground_size, cells.values())
 
 
-def join(a: SetPartition, b: SetPartition) -> SetPartition:
-    """Smallest common coarsening, via union-find over both block systems."""
-    _require_same_ground(a, b)
-    k = a.ground_size
-    parent = list(range(k + 1))
+def _connected_groups(size: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected groups of [1..size] under the links, by union-find."""
+    parent = list(range(size + 1))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -131,19 +129,21 @@ def join(a: SetPartition, b: SetPartition) -> SetPartition:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
+    for x, y in links:
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[ry] = rx
-
-    for part in (a, b):
-        for block in part.blocks:
-            for x in block[1:]:
-                union(block[0], x)
     groups: dict[int, list[int]] = {}
-    for x in range(1, k + 1):
+    for x in range(1, size + 1):
         groups.setdefault(find(x), []).append(x)
-    return SetPartition.of(k, groups.values())
+    return list(groups.values())
+
+
+def join(a: SetPartition, b: SetPartition) -> SetPartition:
+    """Smallest common coarsening: the groups linked by both block systems."""
+    _require_same_ground(a, b)
+    links = [(block[0], x) for part in (a, b) for block in part.blocks for x in block[1:]]
+    return SetPartition.of(a.ground_size, _connected_groups(a.ground_size, links))
 
 
 def refines(a: SetPartition, b: SetPartition) -> bool:
@@ -315,21 +315,8 @@ def loop_count(p1: Pairing, p2: Pairing) -> int:
     """Number of connected components of the union multigraph of two pairings."""
     if p1.size != p2.size:
         raise DimensionError(f"pairing sizes differ: {p1.size} vs {p2.size}")
-    m = p1.size
-    parent = list(range(m + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(1, m + 1):
-        for b in (p1.partner_of(a), p2.partner_of(a)):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-    return len({find(x) for x in range(1, m + 1)})
+    links = itertools.chain(enumerate(p1.partner, 1), enumerate(p2.partner, 1))
+    return len(_connected_groups(p1.size, links))
 
 
 @lru_cache(maxsize=None)

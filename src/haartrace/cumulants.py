@@ -29,11 +29,12 @@ for both groups: a block of m trace factors has the moment
 
     E(prod_a T_{p_a, q_a}) = sum_{pi, sigma} Tr_pi(rows) Tr_sigma(cols) G^-1[pi, sigma]
 
-over the pairings that index the Gram matrix G.  Tr_pi depends only on the
-loops of pi with gamma_pairing(m), a set partition of [m], so G^-1 summed
-over those partitions is one integer matrix M over a common denominator per
-(group, n, m), and a block costs a^T M b / D_M.  The two routes share only
-`gram_inverse`, so tests can compare them.
+over the pairings that index the Gram matrix G.  `gram_inverse` gives G^-1
+as integers N over one denominator D.  Tr_pi depends only on the loops of pi
+with gamma_pairing(m), a set partition of [m], so N summed over those
+partitions is one integer matrix M over the same D per (group, n, m), and a
+block costs a^T M b / D.  The two routes share only `gram_inverse`, so tests
+can compare them.
 """
 from __future__ import annotations
 
@@ -341,17 +342,18 @@ def trace_cumulant_diagonal(group: str, row_diags: Sequence[Sequence],
 def _moment_matrix(group: str, n: int, m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Integer matrix M and common denominator D of the block-moment weights.
 
-    Row A and column B run over `enumerate_partitions(m)`.  M[A, B] / D sums
-    gram_inverse(group, n, m)[pi, sigma] over the pairings pi and sigma whose
-    loops with gamma_pairing(m), restricted to the labels 1..m, form A and B;
-    for a unitary pairing perm_pairing(alpha) these are the cycles of alpha.
+    Row A and column B run over `enumerate_partitions(m)`.  With
+    gram_inverse(group, n, m) = (N, D), M[A, B] sums N[pi][sigma] over the
+    pairings pi and sigma whose loops with gamma_pairing(m), restricted to
+    the labels 1..m, form A and B; for a unitary pairing perm_pairing(alpha)
+    these are the cycles of alpha.
     """
     index = {part: i for i, part in enumerate(enumerate_partitions(m))}
     gamma = gamma_pairing(m).as_partition()
     loops = [index[SetPartition.of(m, [[a for a in block if a <= m] for block in
                                        join(p.as_partition(), gamma).blocks])]
              for p in pairings(group, m)]
-    inverse, denom = gram_inverse(group, n, m)._over_common_denominator()
+    inverse, denom = gram_inverse(group, n, m)
     table = [[0] * len(index) for _ in index]
     for a, row in zip(loops, inverse):
         for b, x in zip(loops, row):

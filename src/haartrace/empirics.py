@@ -74,6 +74,8 @@ def floor_index(n: int, x: float | Fraction) -> int:
     Callers that parse decimals pass Fractions: in floats 100 * 0.29 is
     28.999999999999996, which floors to 28 instead of 29.
     """
+    if n < 1:
+        raise ValueError(f"matrix size must be positive, got {n}")
     return min(n, max(0, math.floor(n * x)))
 
 

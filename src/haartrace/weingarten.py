@@ -14,11 +14,13 @@ only on the cycle type of sigma.  Orthogonal pairings are all pairings of
 [2k], and the values are constant on double cosets of the hyperoctahedral
 group H_k, indexed here by the cycle type extracted by :func:`sigma_of`.
 
-All arithmetic is exact: matrices of integers are inverted by fraction-free
-(Bareiss) Gauss-Jordan elimination, which ends at [d I | adj] with d = +-det
-and adj = d A^-1 both integer, so the only division is adj / d at the end.
-Results are `fractions.Fraction` values.  A singular Gram matrix raises; no
-pseudo-inverse is ever attempted.
+All arithmetic is exact and stays in integers: G is a tuple of int tuples,
+and fraction-free (Bareiss) Gauss-Jordan elimination ends at [d I | adj]
+with d = +-det and adj = d G^-1 both integer.  The inverse is kept as
+(N, D), an integer matrix over one positive denominator in lowest terms,
+and `is_inverse` checks G N = D I by integer product.  Only the Weingarten
+values and joint moments read off it are `fractions.Fraction`s.  A
+singular Gram matrix raises; no pseudo-inverse is ever attempted.
 
 Inverses and read-only tables are memoized per (group, n, k); cache entries
 are only ever written with the value they will always hold.
@@ -43,75 +45,22 @@ from .combinatorics import (
     loop_count,
     perm_pairing,
 )
-from .errors import DimensionError, SingularGramError, SizeLimitError
+from .errors import SingularGramError, SizeLimitError
 
 SignVector = tuple[int, ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 # Largest order k each group's Gram matrix is built for.
 ORDER_LIMITS = {"unitary": 4, "orthogonal": 3}
 
 
-class RationalMatrix:
-    """Dense matrix of exact rationals with fraction-free inversion."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[Union[int, Fraction]]]):
-        self.entries: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(x) for x in row) for row in entries
-        )
-        self.rows = len(self.entries)
-        if self.rows == 0 or any(len(r) != len(self.entries[0]) for r in self.entries):
-            raise DimensionError("matrix must be rectangular and nonempty")
-        self.cols = len(self.entries[0])
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.entries[ij[0]][ij[1]]
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions differ")
-        # integer numerators over one common denominator per factor, so each
-        # output entry is a single Fraction built from an integer dot product
-        left, d_left = self._over_common_denominator()
-        right, d_right = other._over_common_denominator()
-        cols = list(zip(*right))
-        denom = d_left * d_right
-        return RationalMatrix(
-            [[Fraction(sum(map(operator.mul, row, col)), denom) for col in cols]
-             for row in left]
-        )
-
-    def _over_common_denominator(self) -> tuple[list[list[int]], int]:
-        """(integer matrix N, D) with self = N / D and D the lcm of all denominators."""
-        denom = math.lcm(*(x.denominator for row in self.entries for x in row))
-        return [[x.numerator * (denom // x.denominator) for x in row]
-                for row in self.entries], denom
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            x == (1 if i == j else 0)
-            for i, row in enumerate(self.entries)
-            for j, x in enumerate(row)
-        )
-
-    def invert(self) -> "RationalMatrix":
-        """Exact inverse; raises SingularGramError on a singular matrix."""
-        if self.rows != self.cols:
-            raise DimensionError("only square matrices can be inverted")
-        lifted, denom = self._over_common_denominator()
-        # self = lifted / denom, so the inverse is denom times lifted's
-        return RationalMatrix([[x * denom for x in row] for row in _bareiss_inverse(lifted)])
-
-
-def _bareiss_inverse(a: list[list[int]]) -> list[list[Fraction]]:
-    """Inverse of an integer matrix by fraction-free Gauss-Jordan elimination.
+def _bareiss_inverse(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(adj, d) with adj = d A^-1, by fraction-free Gauss-Jordan elimination.
 
     Each pivot step clears its column above and below the pivot with
     Bareiss's update row_r <- (pivot * row_r - f * row_pivot) / previous pivot,
     where every division is exact.  The augmented matrix [A | I] ends as
-    [d I | adj] with d = +-det(A) and adj = d A^-1 integer, so the inverse is
-    adj / d entry by entry; no rational arithmetic runs before that.
+    [d I | adj] with d = +-det(A), so both results are integers.
     """
     n = len(a)
     width = 2 * n
@@ -140,7 +89,18 @@ def _bareiss_inverse(a: list[list[int]]) -> list[list[Fraction]]:
             row_r[col] = 0
         prev = pv
     # d is the last pivot, and the right block holds adj
-    return [[Fraction(x, prev) for x in row[n:]] for row in m]
+    return [row[n:] for row in m], prev
+
+
+def is_inverse(a: Sequence[Sequence[int]], inverse: tuple[Sequence[Sequence[int]], int]) -> bool:
+    """True iff inverse = (N, D) satisfies a N = D I, by integer matrix product."""
+    num, denom = inverse
+    cols = list(zip(*num))
+    return denom != 0 and len(cols) == len(a) and all(
+        len(row) == len(num)
+        and all(sum(map(operator.mul, row, col)) == (denom if i == j else 0)
+                for j, col in enumerate(cols))
+        for i, row in enumerate(a))
 
 
 # ---------------------------------------------------------------------------
@@ -162,18 +122,24 @@ def pairings(group: str, k: int) -> tuple[Pairing, ...]:
     return enumerate_pairings(2 * k)
 
 
-def gram(group: str, k: int, n: int) -> RationalMatrix:
+def gram(group: str, n: int, k: int) -> IntMatrix:
     """Gram matrix n^loop(p1, p2) over pairings(group, k)."""
     index = pairings(group, k)
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
-    return RationalMatrix([[n ** loop_count(p1, p2) for p2 in index] for p1 in index])
+    return tuple(tuple(n ** loop_count(p1, p2) for p2 in index) for p1 in index)
 
 
 @lru_cache(maxsize=None)
-def gram_inverse(group: str, n: int, k: int) -> RationalMatrix:
-    """Exact inverse of gram(group, k, n); for unitary, inv[a, b] = Wg(b a^-1)."""
-    return gram(group, k, n).invert()
+def gram_inverse(group: str, n: int, k: int) -> tuple[IntMatrix, int]:
+    """Exact inverse of gram(group, n, k) as (N, D): the inverse is N / D.
+
+    D > 0 and gcd(D, all N) = 1, so D is the least common denominator of
+    the entries.  For unitary, N[a][b] / D = Wg(b a^-1).
+    """
+    adj, d = _bareiss_inverse(gram(group, n, k))
+    g = math.gcd(d, *(x for row in adj for x in row)) * (1 if d > 0 else -1)
+    return tuple(tuple(x // g for x in row) for row in adj), d // g
 
 
 @lru_cache(maxsize=None)
@@ -186,12 +152,12 @@ def weingarten_table(group: str, n: int, k: int) -> Mapping[CycleType, Fraction]
     orthogonal one.
     """
     index = {p: a for a, p in enumerate(pairings(group, k))}
-    inv = gram_inverse(group, n, k)
-    row = index[gamma_pairing(k)]
+    inv, denom = gram_inverse(group, n, k)
+    row = inv[index[gamma_pairing(k)]]
     values: dict[CycleType, Fraction] = {}
     for sigma in all_permutations(k):
         key = sigma.cycle_type()
-        val = inv[row, index[perm_pairing(sigma)]]
+        val = Fraction(row[index[perm_pairing(sigma)]], denom)
         assert values.setdefault(key, val) == val, f"{group} Weingarten value not constant on {key}"
     return MappingProxyType(values)
 
@@ -290,13 +256,13 @@ def _joint_moment(group: str, i: Sequence[int], j: Sequence[int], n: int) -> Fra
     index = pairings(group, k)
     if any(not 1 <= x <= n for x in (*i, *j)):
         raise ValueError("matrix indices out of range")
-    inv = gram_inverse(group, n, k)
+    inv, denom = gram_inverse(group, n, k)
 
     def admissible(idx: Sequence[int]) -> list[int]:
         return [a for a, p in enumerate(index)
                 if all(idx[x - 1] == idx[y - 1] for x, y in p.pairs())]
 
-    return sum((inv[a, b] for a in admissible(i) for b in admissible(j)), Fraction(0))
+    return Fraction(sum(inv[a][b] for a in admissible(i) for b in admissible(j)), denom)
 
 
 def joint_moment_unitary(i: Sequence[int], j: Sequence[int], n: int) -> Fraction:

@@ -48,6 +48,7 @@ from haartrace.sampling import (
 from haartrace.weingarten import (
     gram,
     gram_inverse,
+    is_inverse,
     joint_moment_orthogonal,
     joint_moment_unitary,
     weingarten_orthogonal,
@@ -103,10 +104,10 @@ def test_criterion_01_exact_moment_identities(announce):
 def test_criterion_02_weingarten_tables(announce):
     for k in (1, 2, 3, 4):
         for n in (4, 5, 6, 7, 8):
-            assert (gram("unitary", k, n) @ gram_inverse("unitary", n, k)).is_identity()
+            assert is_inverse(gram("unitary", n, k), gram_inverse("unitary", n, k))
     for k in (1, 2, 3):
         for n in (6, 7, 8, 9, 10):
-            assert (gram("orthogonal", k, n) @ gram_inverse("orthogonal", n, k)).is_identity()
+            assert is_inverse(gram("orthogonal", n, k), gram_inverse("orthogonal", n, k))
     for n in range(4, 11):
         assert weingarten_unitary(n, (1, 1)) == Fraction(1, n * n - 1)
         assert weingarten_unitary(n, (2,)) == Fraction(-1, n * (n * n - 1))

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from haartrace import weingarten as wg
 from haartrace.cli import run_verification
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -56,3 +57,18 @@ def test_verify_quick_counts_in_table_order():
         ("covariance-closed-form", 256),
         ("variance-closed-form-orthogonal", 16),
     ]
+
+
+def test_one_bareiss_inversion_per_cold_gram_inverse(monkeypatch):
+    # the traced `weingarten.gram_inverse` layer wraps `_bareiss_inverse`
+    calls = []
+    inverse = wg._bareiss_inverse
+    monkeypatch.setattr(wg, "_bareiss_inverse", lambda a: calls.append(a) or inverse(a))
+    wg.gram_inverse.cache_clear()
+    try:
+        for _ in range(2):
+            wg.gram_inverse("unitary", 5, 3)
+            wg.gram_inverse("orthogonal", 7, 2)
+            assert len(calls) == 2
+    finally:
+        wg.gram_inverse.cache_clear()

@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -311,6 +312,15 @@ def test_simulate_rejects_bad_grid_before_sampling(grid, named, monkeypatch, cap
     assert main(["simulate", "--n", "20", "--replicas", "100", "--grid", grid]) == 2
     err = capsys.readouterr().err
     assert "--grid" in err and named in err
+
+
+def test_simulate_rejects_zero_size_before_sampling(monkeypatch, capsys):
+    monkeypatch.setattr(empirics, "map_replicas", _no_sampling)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--n", "0", "--replicas", "100", "--grid", "0.5"]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "matrix size must be positive, got 0" in capsys.readouterr().err
 
 
 def test_grid_axis_keeps_both_endpoints():

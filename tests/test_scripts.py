@@ -37,10 +37,11 @@ def test_script_runs_and_prints_summary(script, args, summary):
 @pytest.mark.parametrize("script, args, named", [
     ("bridge_covariance.py", ["--n", "8", "--replicas", "50", "--axis", "0.5"], "got 50"),
     ("bridge_covariance.py", ["--n", "8", "--replicas", "200", "--workers", "0"], "got '0'"),
+    ("bridge_covariance.py", ["--n", "0", "--replicas", "100"], "got 0"),
     ("spectral_limit.py", ["--n", "8", "--replicas", "1"], "got 1"),
     ("increment_tightness.py", ["--sizes", "16", "--replicas", "1"], "got 1"),
-], ids=["bridge_covariance_replicas", "bridge_covariance_workers", "spectral_limit_replicas",
-        "increment_tightness_replicas"])
+], ids=["bridge_covariance_replicas", "bridge_covariance_workers", "bridge_covariance_n",
+        "spectral_limit_replicas", "increment_tightness_replicas"])
 def test_script_rejects_bad_input_before_sampling(script, args, named):
     done = _run(script, args)
     assert done.returncode == 2, done.stderr

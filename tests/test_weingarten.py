@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,10 +19,11 @@ from haartrace.combinatorics import (
 from haartrace.errors import SingularGramError, SizeLimitError
 from haartrace.sampling import haar_batch
 from haartrace.weingarten import (
-    RationalMatrix,
+    _bareiss_inverse,
     eta,
     gram,
     gram_inverse,
+    is_inverse,
     joint_moment_orthogonal,
     joint_moment_unitary,
     sigma_of,
@@ -38,27 +40,30 @@ from haartrace.weingarten import (
 # ---------------------------------------------------------------------------
 
 def test_rational_matrix_inverse_roundtrip():
-    m = RationalMatrix([[Fraction(1, 2), 3, 0], [1, 1, 4], [0, 2, 1]])
-    assert (m @ m.invert()).is_identity()
-    assert (m.invert() @ m).is_identity()
+    a = [[1, 6, 0], [2, 2, 8], [0, 4, 2]]
+    adj, d = _bareiss_inverse(a)
+    assert is_inverse(a, (adj, d))
+    assert is_inverse(adj, (a, d))  # adj a = d I as well
+    assert not is_inverse(a, (adj, d + 1))
+    adj[0][0] += 1
+    assert not is_inverse(a, (adj, d))
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_rational_matrix_inverse_random(seed):
     rng = np.random.default_rng(seed)
-    a = rng.integers(-6, 7, size=(4, 4))
-    m = RationalMatrix(a.tolist())
+    a = rng.integers(-6, 7, size=(4, 4)).tolist()
     try:
-        inv = m.invert()
+        adj, d = _bareiss_inverse(a)
     except SingularGramError:
-        assert round(np.linalg.det(a.astype(float))) == 0
+        assert round(np.linalg.det(np.array(a, dtype=float))) == 0
         return
-    assert (m @ inv).is_identity()
+    assert is_inverse(a, (adj, d))
 
 
 def test_singular_matrix_raises():
     with pytest.raises(SingularGramError):
-        RationalMatrix([[1, 2], [2, 4]]).invert()
+        _bareiss_inverse([[1, 2], [2, 4]])
 
 
 def _cofactor_inverse(g):
@@ -75,24 +80,41 @@ def _cofactor_inverse(g):
     return [[Fraction(adj[i][j]) / det for j in range(3)] for i in range(3)]
 
 
+def _as_fractions(inverse):
+    num, denom = inverse
+    return [[Fraction(x, denom) for x in row] for row in num]
+
+
 def test_adjugate_oracle_3x3_orthogonal_gram():
     n = 4
     g = [[n**2, n, n], [n, n**2, n], [n, n, n**2]]
-    got = gram("orthogonal", 2, n).invert()
-    assert [list(row) for row in got.entries] == _cofactor_inverse(g)
+    assert _as_fractions(gram_inverse("orthogonal", n, 2)) == _cofactor_inverse(g)
 
 
 @pytest.mark.parametrize("g", [
     [[0, 1, 2], [1, 0, 3], [4, -3, 8]],               # zero first pivot, det -2
     [[1, 2, 3], [2, 4, 5], [3, 5, 6]],                # zero second pivot, det -1
-    [[Fraction(1, 2), 3, 0], [1, 1, 4], [0, 2, 1]],   # non-integer entries
-], ids=["swap-first-pivot", "swap-second-pivot", "rational"])
+], ids=["swap-first-pivot", "swap-second-pivot"])
 def test_adjugate_oracle_3x3_pivot_swaps_and_rationals(g):
-    m = RationalMatrix(g)
-    inv = m.invert()
-    assert [list(row) for row in inv.entries] == _cofactor_inverse(g)
-    assert (m @ inv).is_identity()
-    assert (inv @ m).is_identity()
+    adj, d = _bareiss_inverse(g)
+    assert _as_fractions((adj, d)) == _cofactor_inverse(g)
+    assert is_inverse(g, (adj, d))
+    assert is_inverse(adj, (g, d))
+
+
+# verify --scope default inverts the Gram matrix at exactly these orders and sizes
+@pytest.mark.parametrize("group, orders, sizes", [
+    ("unitary", (1, 2, 3, 4), (4, 6, 8)),
+    ("orthogonal", (1, 2, 3), (6, 8, 10)),
+])
+def test_gram_inverse_is_integers_over_one_positive_denominator(group, orders, sizes):
+    for k in orders:
+        for n in sizes:
+            inverse = gram_inverse(group, n, k)
+            num, denom = inverse
+            assert denom > 0 and math.gcd(denom, *(x for row in num for x in row)) == 1
+            assert isinstance(num, tuple) and all(type(row) is tuple for row in num)
+            assert is_inverse(gram(group, n, k), inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -101,20 +123,19 @@ def test_adjugate_oracle_3x3_pivot_swaps_and_rationals(g):
 
 def test_gram_unitary_small():
     for n in (1, 3, 7):
-        assert gram("unitary", 1, n).entries == ((Fraction(n),),)
-        g2 = gram("unitary", 2, n)
-        assert g2.entries == ((Fraction(n * n), Fraction(n)), (Fraction(n), Fraction(n * n)))
+        assert gram("unitary", n, 1) == ((n,),)
+        assert gram("unitary", n, 2) == ((n * n, n), (n, n * n))
 
 
 def test_gram_unitary_matches_loop_oracle():
     n, k = 5, 3
     perms = all_permutations(k)
-    g = gram("unitary", k, n)
+    g = gram("unitary", n, k)
     for i, a in enumerate(perms):
         for j, b in enumerate(perms):
-            assert g[i, j] == n ** loop_count(perm_pairing(a), perm_pairing(b))
+            assert g[i][j] == n ** loop_count(perm_pairing(a), perm_pairing(b))
             # loop count of bipartite pairings equals the cycle count of b a^-1
-            assert g[i, j] == n ** (b * a.inverse()).num_cycles
+            assert g[i][j] == n ** (b * a.inverse()).num_cycles
 
 
 def test_weingarten_unitary_closed_forms():
@@ -128,21 +149,21 @@ def test_weingarten_unitary_closed_forms():
 
 def test_weingarten_unitary_class_function():
     for k in (2, 3):
-        perms, inv = all_permutations(k), gram_inverse("unitary", 5, k)
+        perms, (inv, denom) = all_permutations(k), gram_inverse("unitary", 5, k)
         ididx = perms.index(Permutation.identity(k))
         for tau in perms:
             for sig in perms:
                 conj = tau * sig * tau.inverse()
-                assert weingarten_unitary(5, conj) == inv[ididx, perms.index(sig)]
+                assert weingarten_unitary(5, conj) == Fraction(inv[ididx][perms.index(sig)], denom)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_gram_times_weingarten_identity_full_range(k):
     for n in range(2 * k, 2 * k + 5):
-        assert (gram("unitary", k, n) @ gram_inverse("unitary", n, k)).is_identity()
+        assert is_inverse(gram("unitary", n, k), gram_inverse("unitary", n, k))
     if k <= 3:
         for n in range(2 * k, 2 * k + 5):
-            assert (gram("orthogonal", k, n) @ gram_inverse("orthogonal", n, k)).is_identity()
+            assert is_inverse(gram("orthogonal", n, k), gram_inverse("orthogonal", n, k))
 
 
 def test_singular_gram_is_error_not_pseudoinverse():
@@ -160,9 +181,9 @@ def test_order_guards():
     with pytest.raises(SizeLimitError):
         weingarten_orthogonal(10, (1, 1, 1, 1))
     with pytest.raises(SizeLimitError):
-        gram("unitary", 5, 10)
+        gram("unitary", 10, 5)
     with pytest.raises(SizeLimitError):
-        gram("orthogonal", 4, 10)
+        gram("orthogonal", 10, 4)
 
 
 def test_weingarten_unitary_monte_carlo():
@@ -293,10 +314,10 @@ def test_sigma_of_lands_in_the_same_double_coset():
 def test_sigma_of_reproduces_gram_inverse_full_s4():
     pairings = enumerate_pairings(4)
     index = {p: i for i, p in enumerate(pairings)}
-    inv = gram_inverse("orthogonal", 5, 2)
+    inv, denom = gram_inverse("orthogonal", 5, 2)
     gidx = index[gamma_pairing(2)]
     for big in all_permutations(4):
-        assert weingarten_orthogonal(5, big) == inv[gidx, index[eta(big)]]
+        assert weingarten_orthogonal(5, big) == Fraction(inv[gidx][index[eta(big)]], denom)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +326,11 @@ def test_sigma_of_reproduces_gram_inverse_full_s4():
 
 def test_gram_orthogonal_k2_structure():
     for n in (3, 4, 6):
-        g = gram("orthogonal", 2, n)
-        assert g.rows == g.cols == 3
+        g = gram("orthogonal", n, 2)
+        assert len(g) == 3 and all(len(row) == 3 for row in g)
         for i in range(3):
             for j in range(3):
-                assert g[i, j] == (n * n if i == j else n)
+                assert g[i][j] == (n * n if i == j else n)
 
 
 def test_weingarten_orthogonal_closed_forms():
@@ -321,7 +342,7 @@ def test_weingarten_orthogonal_closed_forms():
 
 def test_orthogonal_gram_weingarten_identity():
     for k, n in [(1, 3), (2, 4), (3, 6), (3, 4)]:
-        assert (gram("orthogonal", k, n) @ gram_inverse("orthogonal", n, k)).is_identity()
+        assert is_inverse(gram("orthogonal", n, k), gram_inverse("orthogonal", n, k))
 
 
 def test_weingarten_orthogonal_double_coset_invariance():
