@@ -70,7 +70,7 @@ def _write_report(config: RunConfig, records: list[dict], started: float) -> str
     }
     if config.format == "json":
         text = json.dumps({"meta": meta, "body": {"records": records}}, indent=2,
-                          default=float) + "\n"
+                          default=float, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         for key, val in meta.items():
@@ -142,13 +142,15 @@ def cmd_cumulant(config: RunConfig) -> tuple[list[dict], int]:
     dims = family.dims
     uniform = len(set(dims)) == 1
     comparator_kind = "moment-oracle"
+    empty = 0 in sum(dims, ())  # T = 0 exactly; the closed forms take sides in [1, n]
     if r == 1:
         comparator, comparator_kind = Fraction(dims[0][0] * dims[0][1], config.n), "mean"
     elif r == 2 and config.group == "unitary":
-        comparator = cm.covariance_closed(*dims[0], *dims[1], config.n)
+        comparator = Fraction(0) if empty else cm.covariance_closed(*dims[0], *dims[1], config.n)
         comparator_kind = "var0" if uniform else "cov1"
     elif r == 2 and config.group == "orthogonal" and uniform:
-        comparator, comparator_kind = cm.variance_closed_orthogonal(*dims[0], config.n), "var-orth"
+        comparator = Fraction(0) if empty else cm.variance_closed_orthogonal(*dims[0], config.n)
+        comparator_kind = "var-orth"
     else:
         comparator = cm.cumulant_via_moments(config.group, family)
     record = {

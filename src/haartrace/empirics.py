@@ -15,18 +15,17 @@ generalized Kesten-McKay spectral density) live here too.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, InsufficientReplicasError, OrderViolationError
 from .cumulants import limit_covariance
-from .sampling import SeedSpec, _as_seed, haar_sample, keep_sample_memory, single_threaded_blas
+from .sampling import _as_seed, map_replicas
 
 GridPoint = tuple[float, float]
 
@@ -40,31 +39,32 @@ class TraceField:
     """Prefix sums of squared entry moduli; cell (p, q) holds T_{p,q}."""
 
     n: int
-    cumulative: np.ndarray  # (n+1, q+1) for the leading q <= n columns; row/col 0 are zero
+    cumulative: np.ndarray  # ([k,] n+1, q+1) for the leading q <= n columns; row/col 0 are zero
 
     def corner(self, p: int, q: int) -> float:
         return float(self.cumulative[p, q])
 
 
 def trace_field(m: np.ndarray) -> TraceField:
-    """Build the prefix-sum grid for one sampled matrix.
+    """Build the prefix-sum grid for one sampled matrix or a stack of them.
 
-    `m` is n x n, or the leading n x q columns (q <= n) of an n x n sample;
-    corners T_{p,q'} with q' <= q read off the same either way.  Above
-    n = 1000 the accumulation runs in extended precision so that the
-    unit-row identity T_{n,n} = n survives to 1e-10.
+    `m` is n x n, or the leading n x q columns (q <= n) of an n x n sample,
+    or a (k, n, q) stack of such blocks; corners T_{p,q'} with q' <= q read
+    off the same either way, and a stack's fields equal the single fields
+    bit for bit.  Above n = 1000 the accumulation runs in extended precision
+    so that the unit-row identity T_{n,n} = n survives to 1e-10.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[1] > m.shape[0]:
+    if m.ndim not in (2, 3) or m.shape[-1] > m.shape[-2]:
         raise DimensionError(f"expected n x q columns with q <= n, got shape {m.shape}")
-    n, cols = m.shape
+    n, cols = m.shape[-2:]
     weights = np.abs(m) ** 2
     if n >= 1000:
         weights = weights.astype(np.longdouble)
-    cum = np.zeros((n + 1, cols + 1), dtype=weights.dtype)
-    np.cumsum(weights, axis=0, out=weights)
-    np.cumsum(weights, axis=1, out=weights)
-    cum[1:, 1:] = weights
+    cum = np.zeros((*m.shape[:-2], n + 1, cols + 1), dtype=weights.dtype)
+    np.cumsum(weights, axis=-2, out=weights)
+    np.cumsum(weights, axis=-1, out=weights)
+    cum[..., 1:, 1:] = weights
     return TraceField(n, cum.astype(np.float64, copy=False))
 
 
@@ -116,53 +116,15 @@ def uniform_lln_deviation(f: TraceField) -> float:
 # Replica pipelines
 # ---------------------------------------------------------------------------
 
-def map_replicas(group: str, n: int, replicas: int, master_seed: int,
-                 row_fn: Callable[[np.ndarray], np.ndarray],
-                 workers: int = 1, start: int = 0,
-                 columns: int | None = None) -> np.ndarray:
-    """Apply row_fn to each sampled matrix; rows land at their replica index.
-
-    row_fn sees the leading `columns` of each sample (default all n).  Each
-    replica draws from its own (master_seed, index) stream and writes only
-    its own output row, and BLAS runs single-threaded for every worker count,
-    so results are identical for any worker count; pool threads then do not
-    compete with BLAS threads for the same cores either.  Freed sample arrays
-    are kept for reuse (`keep_sample_memory`).
-    """
-    if replicas < 1:
-        raise InsufficientReplicasError("need at least one replica")
-    keep_sample_memory()
-
-    def compute(idx: int) -> np.ndarray:
-        m = haar_sample(group, n, SeedSpec(master_seed, start + idx), columns)
-        return np.atleast_1d(row_fn(m))
-
-    # BLAS runs on one thread for every worker count: OpenBLAS's threaded
-    # kernels round differently from its serial ones (at n = 400, say), so a
-    # thread count that followed `workers` would change the rows with it
-    with single_threaded_blas():
-        first = compute(0)
-        out = np.empty((replicas, first.size), dtype=first.dtype)
-        out[0] = first
-        if workers > 1 and replicas > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                for idx, row in zip(range(1, replicas),
-                                    pool.map(compute, range(1, replicas), chunksize=16)):
-                    out[idx] = row
-        else:
-            for idx in range(1, replicas):
-                out[idx] = compute(idx)
-    return out
-
-
 def sample_process_values(group: str, n: int, grid_points: Sequence[GridPoint],
                           replicas: int, master_seed: int, workers: int = 1) -> np.ndarray:
     """Matrix of W values, one row per replica, one column per grid point.
 
     Equal, value for value, to `process_value` at each point, so points on
     the axes and on the lines s = 1 and t = 1 give an exact 0; the corners
-    and centring are computed once, each replica is one indexed read, and
-    only the columns up to the widest corner are sampled.
+    and centring are computed once, each chunk of replicas is one indexed
+    read of its stacked trace fields, and only the columns up to the widest
+    corner are sampled.
     """
     pts = tuple(grid_points)
     ps = np.array([floor_index(n, s) for s, _ in pts], dtype=np.intp)
@@ -172,10 +134,10 @@ def sample_process_values(group: str, n: int, grid_points: Sequence[GridPoint],
     ps[full] = qs[full] = 0  # corner (0, 0) reads, and centres to, an exact 0
     centre = ps * qs / n
 
-    def row(m: np.ndarray) -> np.ndarray:
-        return trace_field(m).cumulative[ps, qs] - centre
+    def rows(stack: np.ndarray) -> np.ndarray:
+        return trace_field(stack).cumulative[:, ps, qs] - centre
 
-    return map_replicas(group, n, replicas, master_seed, row, workers=workers,
+    return map_replicas(group, n, replicas, master_seed, rows, workers=workers,
                         columns=columns)
 
 
@@ -389,11 +351,11 @@ def spectral_compare(n: int, s: float, t: float, replicas: int, master_seed: int
     if not law.clean_regime:
         warnings.append("density regime s <= min(t, 1-t) violated")
 
-    def row(m: np.ndarray) -> np.ndarray:
-        v = m[:p, :q]
-        return np.linalg.eigvalsh(v @ v.conj().T).real
+    def rows(stack: np.ndarray) -> np.ndarray:
+        v = stack[:, :p, :q]
+        return np.linalg.eigvalsh(v @ v.conj().transpose(0, 2, 1)).real
 
-    eigs = map_replicas(group, n, replicas, master_seed, row, workers=workers, columns=q)
+    eigs = map_replicas(group, n, replicas, master_seed, rows, workers=workers, columns=q)
     edges = np.linspace(0.0, 1.0, bins + 1)
     pooled = np.clip(eigs.ravel(), 0.0, 1.0)
     counts, _ = np.histogram(pooled, bins=edges)
@@ -477,7 +439,7 @@ def increment_fourth_moment_fit(group: str, n: int, replicas: int, master_seed: 
     """Estimate E[increment^4] over dyadic blocks and fit the scaling constant."""
     if replicas < 2:
         raise InsufficientReplicasError(f"increment fit needs at least 2 replicas, got {replicas}")
-    blocks: list[tuple[int, int, int, int, int]] = []
+    blocks, corners = [], []  # (level, i, j, dp, dq) and (p1, p2, q1, q2) per block
     for lev in levels:
         cells = 2 ** lev
         cuts = [floor_index(n, i / cells) for i in range(cells + 1)]
@@ -487,17 +449,16 @@ def increment_fourth_moment_fit(group: str, n: int, replicas: int, master_seed: 
                 dq = cuts[j + 1] - cuts[j]
                 if dp > 0 and dq > 0:
                     blocks.append((lev, i, j, dp, dq))
+                    corners.append((cuts[i], cuts[i + 1], cuts[j], cuts[j + 1]))
+    p1, p2, q1, q2 = np.array(corners, dtype=np.intp).reshape(-1, 4).T
+    centre = (p2 - p1) * (q2 - q1) / n
 
-    def row(m: np.ndarray) -> np.ndarray:
-        f = trace_field(m)
-        out = np.empty(len(blocks))
-        for b, (lev, i, j, dp, dq) in enumerate(blocks):
-            cells = 2 ** lev
-            out[b] = block_increment(f, i / cells, (i + 1) / cells,
-                                     j / cells, (j + 1) / cells)
-        return out
+    def rows(stack: np.ndarray) -> np.ndarray:
+        # `block_increment` at every block, in its order of operations
+        c = trace_field(stack).cumulative
+        return c[:, p2, q2] - c[:, p2, q1] - c[:, p1, q2] + c[:, p1, q1] - centre
 
-    deltas = map_replicas(group, n, replicas, master_seed, row, workers=workers)
+    deltas = map_replicas(group, n, replicas, master_seed, rows, workers=workers)
     fourth = (deltas ** 4).mean(axis=0)
     ses = (deltas ** 4).std(axis=0, ddof=1) / math.sqrt(replicas)
     scale = np.array([float(n) ** 4 / (dp * dp * dq * dq) for (_, _, _, dp, dq) in blocks])

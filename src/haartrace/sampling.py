@@ -6,9 +6,15 @@ phase (complex case) or sign (real case) of the corresponding diagonal entry
 of R, which makes the triangular factor's diagonal positive.  Skipping that
 correction does NOT give Haar measure.
 
-Every replica is generated from its own Generator seeded by the pair
-(master_seed, replica_index), so a replica's matrix is bitwise reproducible
-regardless of how replicas are scheduled across workers.
+One engine samples every replica: it draws each replica of a chunk from its
+own Generator, seeded by (master_seed, replica_index), into one
+(k, n, columns) stack and runs one stacked QR and gauge fix on it.  A chunk
+holds about 64 KiB of sampled block (`_CHUNK_BYTES`), one replica at
+n = 400.  `map_replicas` hands each chunk to a stack function returning one
+row per replica, and a thread pool maps over chunks.  Stacked QR runs the
+same LAPACK calls on each matrix as a single QR, so a replica is bitwise the
+same for any chunk size or worker count; `haar_sample` is the engine at
+k = 1 and `haar_batch` the engine with the identity stack function.
 
 Under Householder QR the first q columns of Q depend only on the first q
 Gaussian columns (Mezzadri, Notices AMS 54, 2007).  A statistic that reads
@@ -22,20 +28,25 @@ replicas are sampled, whatever the worker count: OpenBLAS's threaded
 kernels round differently from its serial ones, and parallelism then lives
 at one level, pool threads, not BLAS threads competing with them.
 `keep_sample_memory` keeps glibc from unmapping the freed arrays of one
-replica only to page-fault them in again for the next.
+chunk only to page-fault them in again for the next.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import ctypes
 import functools
 import glob
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, InsufficientReplicasError
+
+# Sampled block bytes per chunk (k n columns itemsize): 36 replicas at n = 16, 14 real columns
+_CHUNK_BYTES = 64 << 10
 
 
 @dataclass(frozen=True)
@@ -90,50 +101,76 @@ def _gauge_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return q * phase[..., None, :]
 
 
-def _haar(n: int, seed, columns: int | None, complex_case: bool) -> np.ndarray:
+def _haar_stack(group: str, n: int, master_seed: int, indices: range,
+                columns: int | None) -> np.ndarray:
+    """Leading `columns` of the replicas `indices`, each from its own stream, stacked."""
+    if group not in ("unitary", "orthogonal"):
+        raise ValueError(f"unknown group {group!r}")
+    complex_case = group == "unitary"
     cols = _column_count(n, columns)
-    q, r = np.linalg.qr(_ginibre(_as_seed(seed).rng(), n, cols, complex_case))
+    z = np.empty((len(indices), n, cols), dtype=np.complex128 if complex_case else np.float64)
+    for k, idx in enumerate(indices):
+        z[k] = _ginibre(SeedSpec(master_seed, idx).rng(), n, cols, complex_case)
+    q, r = np.linalg.qr(z)
     return _gauge_fix(q, r)
+
+
+def haar_sample(group: str, n: int, seed, columns: int | None = None) -> np.ndarray:
+    """Leading `columns` (default all n) of one Haar n x n matrix: the engine at k = 1."""
+    seed = _as_seed(seed)
+    index = seed.replica_index
+    return _haar_stack(group, n, seed.master_seed, range(index, index + 1), columns)[0]
 
 
 def haar_unitary(n: int, seed, columns: int | None = None) -> np.ndarray:
     """Leading `columns` (default all n) of one Haar n x n unitary for the SeedSpec."""
-    return _haar(n, seed, columns, True)
+    return haar_sample("unitary", n, seed, columns)
 
 
 def haar_orthogonal(n: int, seed, columns: int | None = None) -> np.ndarray:
     """Leading `columns` (default all n) of one Haar n x n orthogonal for the SeedSpec."""
-    return _haar(n, seed, columns, False)
+    return haar_sample("orthogonal", n, seed, columns)
 
 
-def haar_sample(group: str, n: int, seed, columns: int | None = None) -> np.ndarray:
-    if group == "unitary":
-        return haar_unitary(n, seed, columns)
-    if group == "orthogonal":
-        return haar_orthogonal(n, seed, columns)
-    raise ValueError(f"unknown group {group!r}")
+def map_replicas(group: str, n: int, replicas: int, master_seed: int,
+                 stack_fn: Callable[[np.ndarray], np.ndarray], workers: int = 1,
+                 start: int = 0, columns: int | None = None) -> np.ndarray:
+    """Rows of replicas start .. start+replicas-1, one chunk of them per stack_fn call.
 
-
-def haar_batch(group: str, n: int, count: int, master_seed: int,
-               start: int = 0, chunk: int = 4096) -> np.ndarray:
-    """Stack of replicas start .. start+count-1, identical to per-replica calls.
-
-    Gaussians are drawn per replica from the replica's own stream, then QR is
-    applied to whole chunks at once; the chunk size does not affect values.
-    Intended for mass statistics at small n where call overhead dominates.
+    stack_fn maps the (k, n, columns) stack of the leading `columns` (default
+    all n) of k consecutive replicas to their k rows, in order; each chunk
+    writes only its own rows, so rows are the same for any chunk size and,
+    BLAS being single-threaded, any worker count.  Freed sample arrays are
+    kept for reuse (`keep_sample_memory`).
     """
-    if group not in ("unitary", "orthogonal"):
-        raise ValueError(f"unknown group {group!r}")
-    complex_case = group == "unitary"
-    out = np.empty((count, n, n), dtype=np.complex128 if complex_case else np.float64)
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
-        z = np.empty((hi - lo, n, n), dtype=out.dtype)
-        for idx in range(lo, hi):
-            z[idx - lo] = _ginibre(SeedSpec(master_seed, start + idx).rng(), n, n, complex_case)
-        q, r = np.linalg.qr(z)
-        out[lo:hi] = _gauge_fix(q, r)
+    if replicas < 1:
+        raise InsufficientReplicasError("need at least one replica")
+    block = n * _column_count(n, columns) * (16 if group == "unitary" else 8)
+    step = max(1, _CHUNK_BYTES // block)  # replicas per chunk
+    keep_sample_memory()
+
+    def compute(lo: int) -> np.ndarray:
+        indices = range(start + lo, start + min(lo + step, replicas))
+        return stack_fn(_haar_stack(group, n, master_seed, indices, columns))
+
+    # BLAS runs on one thread for every worker count: OpenBLAS's threaded
+    # kernels round differently from its serial ones (at n = 400, say), so a
+    # thread count that followed `workers` would change the rows with it
+    with single_threaded_blas():
+        first = compute(0)
+        out = np.empty((replicas, *first.shape[1:]), dtype=first.dtype)
+        out[:step] = first
+        rest = range(step, replicas, step)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = pool.map(compute, rest) if workers > 1 else map(compute, rest)
+            for lo, rows in zip(rest, chunks):
+                out[lo:lo + step] = rows
     return out
+
+
+def haar_batch(group: str, n: int, count: int, master_seed: int, start: int = 0) -> np.ndarray:
+    """(count, n, n) stack of replicas start .. start+count-1, equal to `haar_sample`'s."""
+    return map_replicas(group, n, count, master_seed, lambda z: z, start=start)
 
 
 @functools.lru_cache(maxsize=1)
@@ -202,7 +239,7 @@ def _mallopt():
 def keep_sample_memory() -> None:
     """Make glibc keep freed sample-sized arrays for reuse instead of unmapping them.
 
-    A replica loop allocates and frees the same few megabytes per replica.
+    The replica engine allocates and frees the same few megabytes per chunk.
     glibc's default thresholds move with the process's allocation history:
     in some processes it reuses those blocks, in others it returns them to
     the kernel after every replica and the next replica page-faults them in

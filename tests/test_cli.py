@@ -1,11 +1,12 @@
 import json
+import time
 import warnings
 from fractions import Fraction
 
 import pytest
 
 from haartrace import empirics
-from haartrace.cli import main, parse_grid, run_verification
+from haartrace.cli import RunConfig, _write_report, main, parse_grid, run_verification
 
 
 def run_cli(tmp_path, *args, fmt="json"):
@@ -72,6 +73,30 @@ def test_cumulant_command_orthogonal_variance(tmp_path):
     (rec,) = body_records(text)
     assert rec["comparator_kind"] == "var-orth"
     assert rec["match"] == "true"
+
+
+@pytest.mark.parametrize("group, dims, kind", [
+    ("unitary", "0:1,2:2", "cov1"),
+    ("unitary", "3:0,3:0", "var0"),
+    ("orthogonal", "0:1,0:1", "var-orth"),
+])
+def test_cumulant_zero_corner_side_compares_to_exact_zero(tmp_path, group, dims, kind):
+    # an empty corner has T = 0, so its covariance with anything is exactly 0
+    code, text = run_cli(tmp_path, "cumulant", "--group", group, "--n", "4", "--dims", dims)
+    assert code == 0
+    (rec,) = body_records(text)
+    assert (rec["kappa"], rec["comparator"]) == ("0/1", "0/1")
+    assert (rec["comparator_kind"], rec["match"]) == (kind, "true")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_report_with_non_finite_value_is_refused_not_written(tmp_path, value):
+    # NaN and Infinity are not JSON; such a report must fail, not be emitted
+    out = tmp_path / "report.json"
+    config = RunConfig(command="spectra", output=str(out))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_report(config, [{"kind": "summary", "mean_se": value}], time.time())
+    assert not out.exists()
 
 
 def test_simulate_command_deterministic_body(tmp_path):
@@ -286,7 +311,7 @@ def test_simulate_floors_decimal_grid_values_exactly(tmp_path):
     assert cov["exact"] == "{0.numerator}/{0.denominator}".format(variance_closed(29, 29, 100))
     assert cov["limit"] == limit_covariance(0.29, 0.29, 0.29, 0.29, 2)
     values = map_replicas("unitary", 100, 100, 4,
-                          lambda m: trace_field(m).cumulative[29, 29] - 29 * 29 / 100,
+                          lambda z: trace_field(z).cumulative[:, 29, 29:30] - 29 * 29 / 100,
                           columns=29)
     assert cov["estimate"] == float(covariance_mc(values)[0][0, 0])
 

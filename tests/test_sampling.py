@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from haartrace.empirics import map_replicas, process_value, sample_process_values, trace_field
+from haartrace import sampling
 from haartrace.errors import DimensionError
 from haartrace.sampling import (
     SeedSpec,
@@ -41,13 +42,46 @@ def test_int_seed_is_replica_zero():
     assert np.array_equal(haar_unitary(8, 77), haar_unitary(8, SeedSpec(77, 0)))
 
 
-def test_batch_equals_per_replica():
-    batch = haar_batch("unitary", 6, 40, master_seed=9, start=2, chunk=7)
+def _chunks_of(monkeypatch, k, n, columns, group):
+    """Set the engine's byte budget so that its chunks hold k replicas."""
+    block = n * columns * (16 if group == "unitary" else 8)
+    monkeypatch.setattr(sampling, "_CHUNK_BYTES", k * block + block // 2)
+
+
+def test_batch_equals_per_replica(monkeypatch):
+    _chunks_of(monkeypatch, 7, 6, 6, "unitary")
+    batch = haar_batch("unitary", 6, 40, master_seed=9, start=2)
     for i in range(40):
         assert np.array_equal(batch[i], haar_unitary(6, SeedSpec(9, 2 + i)))
-    batch_o = haar_batch("orthogonal", 6, 40, master_seed=9, start=2, chunk=13)
+    _chunks_of(monkeypatch, 13, 6, 6, "orthogonal")
+    batch_o = haar_batch("orthogonal", 6, 40, master_seed=9, start=2)
     for i in range(40):
         assert np.array_equal(batch_o[i], haar_orthogonal(6, SeedSpec(9, 2 + i)))
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+@pytest.mark.parametrize("chunk", [1, 7, 13])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_engine_rows_are_distinct_per_replica_samples(monkeypatch, group, chunk, workers):
+    # 40 replicas split into chunks of 7 or 13 leave a short last chunk; a
+    # replica drawn twice, skipped or taken from a neighbour's stream fails
+    n, columns, replicas, master, start = 6, 4, 40, 21, 3
+    _chunks_of(monkeypatch, chunk, n, columns, group)
+    sizes = []
+
+    def flatten(z):
+        sizes.append(len(z))
+        return z.reshape(len(z), -1)
+
+    rows = map_replicas(group, n, replicas, master, flatten,
+                        workers=workers, start=start, columns=columns)
+    assert sorted(sizes, reverse=True) == [chunk] * (replicas // chunk) + (
+        [replicas % chunk] if replicas % chunk else [])
+    assert rows.shape == (replicas, n * columns)
+    assert len(np.unique(rows, axis=0)) == replicas
+    for i in range(replicas):
+        want = haar_sample(group, n, SeedSpec(master, start + i), columns=columns)
+        assert np.array_equal(rows[i], want.ravel())
 
 
 def test_orthonormality_residual_examples():
@@ -189,15 +223,15 @@ def test_replicas_run_single_threaded_blas_and_restore_it():
     original = get_threads()
     seen = []
 
-    def row(m):
+    def rows(z):
         seen.append(get_threads())
-        return np.zeros(1)
+        return np.zeros((len(z), 1))
 
     try:
         set_threads(2)
         for workers in (1, 2):
             seen.clear()
-            map_replicas("orthogonal", 6, 40, 3, row, workers=workers)
+            map_replicas("orthogonal", 6, 40, 3, rows, workers=workers)
             assert get_threads() == 2
             assert set(seen) == {1}  # replica 0 too, and without a pool
     finally:
@@ -222,12 +256,12 @@ def test_replica_loop_reuses_its_freed_arrays(workers):
     def faults():
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    def row(m):
-        return trace_field(m).cumulative[-1, -1:]
+    def rows(z):
+        return trace_field(z).cumulative[:, -1, -1:]
 
-    map_replicas("unitary", 200, 4, 9, row, workers=workers)  # grows the heaps once
+    map_replicas("unitary", 200, 4, 9, rows, workers=workers)  # grows the heaps once
     before = faults()
-    map_replicas("unitary", 200, 40, 9, row, workers=workers, start=4)
+    map_replicas("unitary", 200, 40, 9, rows, workers=workers, start=4)
     # a replica allocates about 3 MB; unmapped and faulted in again, that
     # would be hundreds of page faults per replica
     assert (faults() - before) / 40 < 20
