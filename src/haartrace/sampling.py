@@ -47,6 +47,7 @@ from .errors import DimensionError, InsufficientReplicasError
 
 # Sampled block bytes per chunk (k n columns itemsize): 36 replicas at n = 16, 14 real columns
 _CHUNK_BYTES = 64 << 10
+_DTYPE = {"unitary": np.dtype(np.complex128), "orthogonal": np.dtype(np.float64)}
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,16 @@ def _ginibre(rng: np.random.Generator, n: int, columns: int, complex_case: bool)
     return rng.standard_normal((n, n))[:, :columns]
 
 
-def _column_count(n: int, columns: int | None) -> int:
+def _block(group: str, n: int, columns: int | None) -> tuple[int, np.dtype]:
+    """(columns, dtype) of one sampled n x columns block; columns defaults to n."""
+    if group not in _DTYPE:
+        raise ValueError(f"unknown group {group!r}")
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
-    if columns is None:
-        return n
+    columns = n if columns is None else columns
     if not 1 <= columns <= n:
         raise ValueError(f"columns must lie in [1, {n}], got {columns}")
-    return columns
+    return columns, _DTYPE[group]
 
 
 def _gauge_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -104,13 +107,10 @@ def _gauge_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
 def _haar_stack(group: str, n: int, master_seed: int, indices: range,
                 columns: int | None) -> np.ndarray:
     """Leading `columns` of the replicas `indices`, each from its own stream, stacked."""
-    if group not in ("unitary", "orthogonal"):
-        raise ValueError(f"unknown group {group!r}")
-    complex_case = group == "unitary"
-    cols = _column_count(n, columns)
-    z = np.empty((len(indices), n, cols), dtype=np.complex128 if complex_case else np.float64)
+    cols, dtype = _block(group, n, columns)
+    z = np.empty((len(indices), n, cols), dtype=dtype)
     for k, idx in enumerate(indices):
-        z[k] = _ginibre(SeedSpec(master_seed, idx).rng(), n, cols, complex_case)
+        z[k] = _ginibre(SeedSpec(master_seed, idx).rng(), n, cols, dtype.kind == "c")
     q, r = np.linalg.qr(z)
     return _gauge_fix(q, r)
 
@@ -145,8 +145,8 @@ def map_replicas(group: str, n: int, replicas: int, master_seed: int,
     """
     if replicas < 1:
         raise InsufficientReplicasError("need at least one replica")
-    block = n * _column_count(n, columns) * (16 if group == "unitary" else 8)
-    step = max(1, _CHUNK_BYTES // block)  # replicas per chunk
+    cols, dtype = _block(group, n, columns)
+    step = max(1, _CHUNK_BYTES // (n * cols * dtype.itemsize))  # replicas per chunk
     keep_sample_memory()
 
     def compute(lo: int) -> np.ndarray:
@@ -161,9 +161,9 @@ def map_replicas(group: str, n: int, replicas: int, master_seed: int,
         out = np.empty((replicas, *first.shape[1:]), dtype=first.dtype)
         out[:step] = first
         rest = range(step, replicas, step)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(compute, rest) if workers > 1 else map(compute, rest)
-            for lo, rows in zip(rest, chunks):
+        pool = concurrent.futures.ThreadPoolExecutor(workers) if workers > 1 else None
+        with pool or contextlib.nullcontext():  # workers <= 1: no pool, all in this thread
+            for lo, rows in zip(rest, (pool.map if pool else map)(compute, rest)):
                 out[lo:lo + step] = rows
     return out
 

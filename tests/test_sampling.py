@@ -1,4 +1,5 @@
 import resource
+import threading
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_int_seed_is_replica_zero():
 
 def _chunks_of(monkeypatch, k, n, columns, group):
     """Set the engine's byte budget so that its chunks hold k replicas."""
-    block = n * columns * (16 if group == "unitary" else 8)
+    block = n * columns * sampling._DTYPE[group].itemsize
     monkeypatch.setattr(sampling, "_CHUNK_BYTES", k * block + block // 2)
 
 
@@ -61,10 +62,11 @@ def test_batch_equals_per_replica(monkeypatch):
 
 @pytest.mark.parametrize("group", ["unitary", "orthogonal"])
 @pytest.mark.parametrize("chunk", [1, 7, 13])
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [0, 1, 2])
 def test_engine_rows_are_distinct_per_replica_samples(monkeypatch, group, chunk, workers):
     # 40 replicas split into chunks of 7 or 13 leave a short last chunk; a
-    # replica drawn twice, skipped or taken from a neighbour's stream fails
+    # replica drawn twice, skipped or taken from a neighbour's stream fails.
+    # workers=0 runs in this thread, as workers=1 does
     n, columns, replicas, master, start = 6, 4, 40, 21, 3
     _chunks_of(monkeypatch, chunk, n, columns, group)
     sizes = []
@@ -215,25 +217,31 @@ def test_sample_process_values_matches_pointwise_loop(group):
         assert np.max(np.abs(got[i] - [process_value(full, s, t) for s, t in pts])) <= 1e-13
 
 
-def test_replicas_run_single_threaded_blas_and_restore_it():
+def test_replicas_run_single_threaded_blas_and_restore_it(monkeypatch):
     calls = _openblas_thread_calls()
     if calls is None:
         pytest.skip("numpy does not bundle a scipy-openblas library here")
     get_threads, set_threads = calls
     original = get_threads()
-    seen = []
+    seen, threads = [], set()
 
     def rows(z):
         seen.append(get_threads())
+        threads.add(threading.get_ident())
         return np.zeros((len(z), 1))
 
+    _chunks_of(monkeypatch, 7, 6, 6, "orthogonal")  # 40 replicas in 6 chunks
     try:
         set_threads(2)
         for workers in (1, 2):
             seen.clear()
+            threads.clear()
             map_replicas("orthogonal", 6, 40, 3, rows, workers=workers)
             assert get_threads() == 2
-            assert set(seen) == {1}  # replica 0 too, and without a pool
+            assert len(seen) == 6  # one call per chunk
+            assert set(seen) == {1}  # the first chunk too, and without a pool
+            # workers=1 stays in this thread; workers=2 runs chunks on pool threads
+            assert (threads == {threading.get_ident()}) == (workers == 1)
     finally:
         set_threads(original)
 
