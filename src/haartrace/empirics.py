@@ -45,23 +45,30 @@ class TraceField:
         return float(self.cumulative[p, q])
 
 
-def trace_field(m: np.ndarray) -> TraceField:
+def trace_field(m: np.ndarray, n: int | None = None) -> TraceField:
     """Build the prefix-sum grid for one sampled matrix or a stack of them.
 
-    `m` is n x n, or the leading n x q columns (q <= n) of an n x n sample,
-    or a (k, n, q) stack of such blocks; corners T_{p,q'} with q' <= q read
-    off the same either way, and a stack's fields equal the single fields
-    bit for bit.  Above n = 1000 the accumulation runs in extended precision
-    so that the unit-row identity T_{n,n} = n survives to 1e-10.
+    `m` is n x n, or the leading p x q block (p, q <= n) of an n x n sample,
+    or a (k, p, q) stack of such blocks; corners T_{p',q'} with p' <= p and
+    q' <= q read off the same either way, and a stack's fields equal the
+    single fields bit for bit.  The matrix size n defaults to the block's row
+    count, so a block of fewer than n rows must pass it: it is the field's
+    `n`, the bound on q, and the size above which (n >= 1000) the
+    accumulation runs in extended precision so that the unit-row identity
+    T_{n,n} = n survives to 1e-10.
     """
     m = np.asarray(m)
-    if m.ndim not in (2, 3) or m.shape[-1] > m.shape[-2]:
-        raise DimensionError(f"expected n x q columns with q <= n, got shape {m.shape}")
-    n, cols = m.shape[-2:]
+    if m.ndim not in (2, 3):
+        raise DimensionError(f"expected a block or a stack of blocks, got shape {m.shape}")
+    rows, cols = m.shape[-2:]
+    n = rows if n is None else n
+    if not (rows <= n and cols <= n):
+        raise DimensionError(f"expected p x q rows and columns with p, q <= n = {n}, "
+                             f"got shape {m.shape}")
     weights = np.abs(m) ** 2
     if n >= 1000:
         weights = weights.astype(np.longdouble)
-    cum = np.zeros((*m.shape[:-2], n + 1, cols + 1), dtype=weights.dtype)
+    cum = np.zeros((*m.shape[:-2], rows + 1, cols + 1), dtype=weights.dtype)
     np.cumsum(weights, axis=-2, out=weights)
     np.cumsum(weights, axis=-1, out=weights)
     cum[..., 1:, 1:] = weights
@@ -123,22 +130,23 @@ def sample_process_values(group: str, n: int, grid_points: Sequence[GridPoint],
     Equal, value for value, to `process_value` at each point, so points on
     the axes and on the lines s = 1 and t = 1 give an exact 0; the corners
     and centring are computed once, each chunk of replicas is one indexed
-    read of its stacked trace fields, and only the columns up to the widest
-    corner are sampled.
+    read of its stacked trace fields, and only the block up to the tallest
+    and widest corner is sampled.
     """
     pts = tuple(grid_points)
     ps = np.array([floor_index(n, s) for s, _ in pts], dtype=np.intp)
     qs = np.array([floor_index(n, t) for _, t in pts], dtype=np.intp)
-    columns = max(1, int(qs.max(initial=0)))  # from the real corners: same samples
+    # from the real corners: the same block, so the same samples
+    rows, columns = (max(1, int(x.max(initial=0))) for x in (ps, qs))
     full = (ps == n) | (qs == n)
     ps[full] = qs[full] = 0  # corner (0, 0) reads, and centres to, an exact 0
     centre = ps * qs / n
 
-    def rows(stack: np.ndarray) -> np.ndarray:
-        return trace_field(stack).cumulative[:, ps, qs] - centre
+    def values(stack: np.ndarray) -> np.ndarray:
+        return trace_field(stack, n).cumulative[:, ps, qs] - centre
 
-    return map_replicas(group, n, replicas, master_seed, rows, workers=workers,
-                        columns=columns)
+    return map_replicas(group, n, replicas, master_seed, values, workers=workers,
+                        columns=columns, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +359,11 @@ def spectral_compare(n: int, s: float, t: float, replicas: int, master_seed: int
     if not law.clean_regime:
         warnings.append("density regime s <= min(t, 1-t) violated")
 
-    def rows(stack: np.ndarray) -> np.ndarray:
-        v = stack[:, :p, :q]
+    def eigenvalues(v: np.ndarray) -> np.ndarray:  # v: the leading p x q blocks
         return np.linalg.eigvalsh(v @ v.conj().transpose(0, 2, 1)).real
 
-    eigs = map_replicas(group, n, replicas, master_seed, rows, workers=workers, columns=q)
+    eigs = map_replicas(group, n, replicas, master_seed, eigenvalues, workers=workers,
+                        columns=q, rows=p)
     edges = np.linspace(0.0, 1.0, bins + 1)
     pooled = np.clip(eigs.ravel(), 0.0, 1.0)
     counts, _ = np.histogram(pooled, bins=edges)
@@ -450,15 +458,24 @@ def increment_fourth_moment_fit(group: str, n: int, replicas: int, master_seed: 
                 if dp > 0 and dq > 0:
                     blocks.append((lev, i, j, dp, dq))
                     corners.append((cuts[i], cuts[i + 1], cuts[j], cuts[j + 1]))
-    p1, p2, q1, q2 = np.array(corners, dtype=np.intp).reshape(-1, 4).T
+    cuts = np.array(corners, dtype=np.intp).reshape(-1, 4)
+    p1, p2, q1, q2 = cuts.T
     centre = (p2 - p1) * (q2 - q1) / n
+    # T_{n,q} = q and T_{p,n} = p exactly, as `process_value` uses: only the
+    # leading cuts below n are sampled, and index inner + 1 stands for n
+    inner = max(1, int(cuts[cuts < n].max(initial=0)))
+    edge = np.append(np.arange(inner + 1), n).astype(np.float64)
+    p1, p2, q1, q2 = np.where(cuts == n, inner + 1, cuts).T
 
-    def rows(stack: np.ndarray) -> np.ndarray:
+    def increments(stack: np.ndarray) -> np.ndarray:
         # `block_increment` at every block, in its order of operations
-        c = trace_field(stack).cumulative
+        c = np.empty((len(stack), inner + 2, inner + 2))
+        c[:, :-1, :-1] = trace_field(stack, n).cumulative
+        c[:, -1, :] = c[:, :, -1] = edge
         return c[:, p2, q2] - c[:, p2, q1] - c[:, p1, q2] + c[:, p1, q1] - centre
 
-    deltas = map_replicas(group, n, replicas, master_seed, rows, workers=workers)
+    deltas = map_replicas(group, n, replicas, master_seed, increments, workers=workers,
+                          columns=inner, rows=inner)
     fourth = (deltas ** 4).mean(axis=0)
     ses = (deltas ** 4).std(axis=0, ddof=1) / math.sqrt(replicas)
     scale = np.array([float(n) ** 4 / (dp * dp * dq * dq) for (_, _, _, dp, dq) in blocks])

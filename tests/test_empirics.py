@@ -9,6 +9,7 @@ from haartrace.empirics import (
     block_increment,
     bridge_reference,
     covariance_mc,
+    floor_index,
     increment_fourth_moment_fit,
     kesten_mckay,
     kstat_estimators,
@@ -23,7 +24,7 @@ from haartrace.errors import (
     InsufficientReplicasError,
     OrderViolationError,
 )
-from haartrace.sampling import SeedSpec, haar_orthogonal, haar_unitary
+from haartrace.sampling import SeedSpec, haar_orthogonal, haar_unitary, map_replicas
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +57,17 @@ def test_trace_field_haar_unit_rows():
 def test_trace_field_requires_square():
     with pytest.raises(DimensionError):
         trace_field(np.ones((3, 4)))
+
+
+def test_trace_field_of_leading_rows_keeps_the_matrix_size():
+    u = haar_unitary(12, SeedSpec(6))
+    f = trace_field(u[:5, :7], 12)
+    assert f.n == 12 and f.cumulative.shape == (6, 8)
+    assert np.array_equal(f.cumulative, trace_field(u).cumulative[:6, :8])
+    assert process_value(f, 0.42, 0.5) == f.corner(5, 6) - 5 * 6 / 12
+    for shape in ((5, 13), (13, 5)):
+        with pytest.raises(DimensionError):
+            trace_field(np.ones(shape), 12)
 
 
 def test_process_value_boundaries():
@@ -369,6 +381,42 @@ def test_increment_fit_smoke():
     assert np.all(fit.fourth_moments >= 0)
     # level-1 blocks of an n=32 field have dp = dq = 16
     assert all(dp == 16 for (lev, i, j, dp, dq) in fit.blocks if lev == 1)
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+def test_increment_fit_reads_exact_boundary_of_leading_block(group):
+    # blocks on row or column n read T_{n,q} = q and T_{p,n} = p exactly, so
+    # only the leading 7n/8 rows and columns are sampled
+    n, replicas, seed = 64, 60, 4101
+    fit = increment_fourth_moment_fit(group, n, replicas, master_seed=seed)
+    p1, p2, q1, q2 = np.array(
+        [[floor_index(n, x / 2 ** lev) for x in (i, i + 1, j, j + 1)]
+         for lev, i, j, _, _ in fit.blocks]).T
+
+    def increments(stack):  # the full square, sampled corners throughout
+        c = trace_field(stack).cumulative
+        return (c[:, p2, q2] - c[:, p2, q1] - c[:, p1, q2] + c[:, p1, q1]
+                - (p2 - p1) * (q2 - q1) / n)
+
+    full = (map_replicas(group, n, replicas, seed, increments) ** 4).mean(axis=0)
+    assert np.max(np.abs(fit.fourth_moments / full - 1)) <= 1e-12
+    c_max = float(np.max(full * [n ** 4 / (dp * dp * dq * dq)
+                                 for _, _, _, dp, dq in fit.blocks]))
+    assert abs(fit.c_max / c_max - 1) <= 1e-12
+
+
+def test_increment_fit_samples_only_the_inner_cuts(monkeypatch):
+    from haartrace import empirics
+    shapes, engine = [], empirics.map_replicas
+
+    def recording(*args, **kwargs):
+        shapes.append((kwargs["rows"], kwargs["columns"]))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(empirics, "map_replicas", recording)
+    increment_fourth_moment_fit("unitary", 64, 4, master_seed=1)
+    increment_fourth_moment_fit("orthogonal", 20, 4, master_seed=1, levels=(2, 1))
+    assert shapes == [(56, 56), (15, 15)]
 
 
 @pytest.mark.parametrize("replicas", [0, 1])

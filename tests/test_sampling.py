@@ -1,5 +1,9 @@
+import os
 import resource
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +15,10 @@ from haartrace.errors import DimensionError
 from haartrace.sampling import (
     SeedSpec,
     _gauge_fix,
+    _ginibre,
     _mallopt,
     _openblas_thread_calls,
+    _trsm_calls,
     haar_batch,
     haar_orthogonal,
     haar_sample,
@@ -273,3 +279,143 @@ def test_replica_loop_reuses_its_freed_arrays(workers):
     # a replica allocates about 3 MB; unmapped and faulted in again, that
     # would be hundreds of page faults per replica
     assert (faults() - before) / 40 < 20
+
+
+# ---------------------------------------------------------------------------
+# the R-only route: leading rows of G R^-1 for one-replica chunks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [8, 400])
+def test_complex_draw_written_in_place_equals_the_quotient(n):
+    # numpy divides a complex number by a real one as a product with the
+    # reciprocal, so the in-place products are the old quotient bit for bit
+    for seed in range(5):
+        for q in sorted({1, n // 2, n}):
+            out = np.empty((n, q), dtype=np.complex128)
+            _ginibre(SeedSpec(seed, n).rng(), out)
+            rng = SeedSpec(seed, n).rng()
+            re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+            assert np.array_equal(out, (re[:, :q] + 1j * im[:, :q]) / np.sqrt(2.0))
+
+
+def _householder_rows(group, n, master, replicas, rows, columns):
+    return np.stack([haar_sample(group, n, SeedSpec(master, i), columns=columns)[:rows]
+                     for i in range(replicas)])
+
+
+def _solve_calls(monkeypatch):
+    """Count the engine's trsm solves; returns the list the calls append to."""
+    calls, solve = [], _trsm_calls()
+    if solve is None:
+        pytest.skip("numpy does not bundle a scipy-openblas library here")
+
+    def counted(x, r):
+        calls.append(x.shape)
+        solve(x, r)
+
+    monkeypatch.setattr(sampling, "_trsm_calls", lambda: counted)
+    return calls
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+@pytest.mark.parametrize("n", [8, 64, 400])
+def test_r_only_moduli_equal_householder_moduli(monkeypatch, group, n):
+    calls = _solve_calls(monkeypatch)
+    replicas = 2 if n == 400 else 4
+    for rows, columns in sorted({(n // 2, (3 * n) // 4), ((3 * n) // 4, n // 2),
+                                 (1, n), (n - 1, 1), (n - 1, n)}):
+        _chunks_of(monkeypatch, 1, n, columns, group)
+        calls.clear()
+        got = map_replicas(group, n, replicas, 31, lambda z: z, columns=columns, rows=rows)
+        assert calls == [(rows, columns)] * replicas  # the route was taken
+        want = _householder_rows(group, n, 31, replicas, rows, columns)
+        assert got.shape == want.shape == (replicas, rows, columns)
+        assert np.max(np.abs(np.abs(got) ** 2 - np.abs(want) ** 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+@pytest.mark.parametrize("case", ["all rows", "chunks of 3", "no library"])
+def test_householder_route_rows_are_bit_identical(monkeypatch, group, case):
+    n, rows, columns, replicas = 24, 10, 20, 7
+    calls = _solve_calls(monkeypatch)
+    _chunks_of(monkeypatch, 3 if case == "chunks of 3" else 1, n, columns, group)
+    if case == "all rows":
+        rows = n
+    if case == "no library":
+        monkeypatch.setattr(sampling, "_trsm_calls", lambda: None)
+    got = map_replicas(group, n, replicas, 17, lambda z: z, columns=columns, rows=rows)
+    assert calls == []
+    assert np.array_equal(got, _householder_rows(group, n, 17, replicas, rows, columns))
+
+
+def test_r_only_solve_leaves_the_gaussian_unchanged(monkeypatch):
+    # the solve runs in place on the leading rows; on a view of the stack it
+    # would overwrite the Gaussian that R came from
+    calls = _solve_calls(monkeypatch)
+    seen, qr = [], np.linalg.qr
+
+    def recording_qr(a, mode="reduced"):
+        seen.append((mode, a, a.copy()))
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    map_replicas("unitary", 64, 3, 5, lambda z: z, columns=40, rows=30)
+    assert len(calls) == 3 and [mode for mode, _, _ in seen] == ["r"] * 3
+    assert all(np.array_equal(g, before) for _, g, before in seen)
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+def test_r_only_rows_do_not_depend_on_worker_count(monkeypatch, group):
+    calls = _solve_calls(monkeypatch)
+    serial = map_replicas(group, 400, 4, 8, lambda z: z, workers=1, columns=200, rows=300)
+    pooled = map_replicas(group, 400, 4, 8, lambda z: z, workers=2, columns=200, rows=300)
+    assert len(calls) == 8
+    assert np.array_equal(serial, pooled)
+
+
+def test_rows_out_of_range():
+    for rows in (0, 7):
+        with pytest.raises(ValueError, match="rows must lie in"):
+            map_replicas("unitary", 6, 2, 1, lambda z: z, rows=rows)
+
+
+def test_trsm_solve_refuses_mismatched_arguments():
+    solve = _trsm_calls()
+    if solve is None:
+        pytest.skip("numpy does not bundle a scipy-openblas library here")
+    x, r = np.ones((3, 4)), np.eye(4)
+    for bad_x, bad_r in ((x, np.eye(3)), (x, np.eye(4, dtype=np.complex128)),
+                         (np.ones((4, 3)).T, r), (x.astype(np.float32), r)):
+        with pytest.raises(ValueError, match="cannot solve"):
+            solve(bad_x, bad_r)
+    solve(x, 2 * r)
+    assert np.array_equal(x, np.full((3, 4), 0.5))
+
+
+def _fresh_python(code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout.split()
+
+
+def test_r_only_sampling_imports_no_scipy():
+    # scipy would cost the command line about 0.3 s of start-up
+    assert _fresh_python(
+        "import sys\n"
+        "import haartrace.cli\n"
+        "from haartrace import sampling\n"
+        "from haartrace.empirics import sample_process_values\n"
+        "sample_process_values('unitary', 400, [(0.5, 0.5)], 1, 3)\n"
+        "print('scipy' in sys.modules, sampling._trsm_calls() is not None)\n"
+    ) in (["False", "True"], ["False", "False"])
+
+
+def test_importing_the_package_resolves_no_trsm_symbol():
+    assert _fresh_python(
+        "import haartrace, haartrace.cli\n"
+        "from haartrace import sampling\n"
+        "print(sampling._trsm_calls.cache_info().currsize,"
+        " sampling._openblas.cache_info().currsize)\n"
+    ) == ["0", "0"]
