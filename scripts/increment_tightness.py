@@ -11,26 +11,30 @@ import argparse
 from haartrace.empirics import increment_fourth_moment_fit
 
 
+def integers(text: str) -> tuple[int, ...]:
+    """Argument type: comma-separated integers; argparse names a bad value."""
+    return tuple(int(x) for x in text.split(","))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--group", choices=["unitary", "orthogonal"], default="unitary")
-    ap.add_argument("--sizes", default="64,128,256")
+    ap.add_argument("--sizes", type=integers, default="64,128,256")
     ap.add_argument("--replicas", type=int, default=800)
-    ap.add_argument("--levels", default="1,2,3")
+    ap.add_argument("--levels", type=integers, default="1,2,3")
     ap.add_argument("--master-seed", type=int, default=4101)
     args = ap.parse_args()
 
-    levels = tuple(int(x) for x in args.levels.split(","))
     constants = []
-    for n in (int(x) for x in args.sizes.split(",")):
+    for n in args.sizes:
         try:
             fit = increment_fourth_moment_fit(args.group, n, args.replicas,
-                                              args.master_seed, levels=levels)
+                                              args.master_seed, levels=args.levels)
         except ValueError as exc:
             ap.error(str(exc))
         constants.append(fit.c_max)
         print(f"n={n:4d}: fitted C = {fit.c_max:8.3f}  over {len(fit.blocks)} blocks")
-        for lev in levels:
+        for lev in args.levels:
             sel = [r for (blk, r) in zip(fit.blocks, fit.ratios) if blk[0] == lev]
             print(f"   level {lev}: max ratio {max(sel):8.3f}  mean {sum(sel)/len(sel):8.3f}")
     spread = max(constants) / min(constants)

@@ -7,8 +7,8 @@ identity (mean -> t).
     python scripts/spectral_limit.py --n 400 --s 0.3 --t 0.5 --replicas 50
 """
 import argparse
-from fractions import Fraction
 
+from haartrace.cli import fraction
 from haartrace.empirics import spectral_compare
 
 
@@ -17,8 +17,8 @@ def main() -> None:
     ap.add_argument("--group", choices=["unitary", "orthogonal"], default="unitary")
     ap.add_argument("--n", type=int, default=400)
     # exact decimals, so the corner floor(n s) x floor(n t) needs no rounding
-    ap.add_argument("--s", type=Fraction, default=Fraction("0.3"))
-    ap.add_argument("--t", type=Fraction, default=Fraction("0.5"))
+    ap.add_argument("--s", type=fraction, default="0.3")
+    ap.add_argument("--t", type=fraction, default="0.5")
     ap.add_argument("--replicas", type=int, default=50)
     ap.add_argument("--bins", type=int, default=40)
     ap.add_argument("--master-seed", type=int, default=1005)

@@ -76,11 +76,7 @@ def _write_report(config: RunConfig, records: list[dict], started: float) -> str
         for key, val in meta.items():
             buf.write(f"# {key}={json.dumps(val, sort_keys=True, default=float)}\n")
         if records:
-            fields = list(records[0].keys())
-            for rec in records[1:]:
-                for key in rec:
-                    if key not in fields:
-                        fields.append(key)
+            fields = list(dict.fromkeys(key for rec in records for key in rec))
             writer = csv.DictWriter(buf, fieldnames=fields, restval="")
             writer.writeheader()
             writer.writerows(records)
@@ -167,12 +163,23 @@ def cmd_cumulant(config: RunConfig) -> tuple[list[dict], int]:
     return [record], 0
 
 
+def fraction(text: str) -> Fraction:
+    """An exact decimal or p/q; a zero denominator is a ValueError naming the text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_grid(grid: str, flag: str = "--grid") -> list[Fraction]:
     """Axis values as exact decimals, so flooring n * value needs no rounding."""
     texts = [x.strip() for x in grid.split(",") if x.strip()]
     if not texts:
         raise ValueError(f"{flag} needs at least one axis value, got {grid!r}")
-    axis = [Fraction(x) for x in texts]
+    try:
+        axis = [fraction(x) for x in texts]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
     for x, text in zip(axis, texts):
         if not 0 <= x <= 1:
             raise ValueError(f"{flag} values must lie in [0, 1], got {text}")
@@ -439,8 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectra", help="corner-product spectrum vs the limit law")
     common(p, seeded=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=Fraction, required=True)
-    p.add_argument("--t", type=Fraction, required=True)
+    p.add_argument("--s", type=fraction, required=True)
+    p.add_argument("--t", type=fraction, required=True)
     p.add_argument("--replicas", type=int, required=True)
     p.add_argument("--bins", type=int, default=40)
 
@@ -464,11 +471,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(command=args.command)
-    for key, val in vars(args).items():
-        attr = key.replace("-", "_")
-        if hasattr(config, attr):
-            setattr(config, attr, val)
+    config = RunConfig(**{key: val for key, val in vars(args).items()
+                          if key in RunConfig.__dataclass_fields__})
     started = time.time()
     try:
         records, code = _DISPATCH[args.command](config)

@@ -6,12 +6,12 @@ O(1).  The centered process is
 
     W(s, t) = T_{floor(ns), floor(nt)} - floor(ns) floor(nt) / n
 
-with right-continuous steps, vanishing on the axes and at (1,1).  Across
-replicas we estimate cumulants with unbiased k-statistics, covariances of
-grid values, fourth moments of rectangular increments, and the empirical
-spectrum of the corner product, each with jackknife or plain standard
-errors.  Reference objects for the limits (tied-down bridge covariance,
-generalized Kesten-McKay spectral density) live here too.
+with right-continuous steps, vanishing on the axes and at (1,1); the replica
+pipelines read just their corners (`corner_traces`).  Across replicas we
+estimate cumulants with unbiased k-statistics, covariances of grid values,
+fourth moments of rectangular increments, and the corner product's spectrum,
+each with jackknife or plain standard errors.  Reference objects for the
+limits (tied-down bridge covariance, Kesten-McKay density) live here too.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,34 +45,50 @@ class TraceField:
         return float(self.cumulative[p, q])
 
 
-def trace_field(m: np.ndarray, n: int | None = None) -> TraceField:
-    """Build the prefix-sum grid for one sampled matrix or a stack of them.
+def _squared_moduli(m: np.ndarray, n: int) -> np.ndarray:
+    """|m|^2, in extended precision from n = 1000 on, where float64 sums lose T_{n,n} = n."""
+    return (np.abs(m) ** 2).astype(np.longdouble if n >= 1000 else np.float64, copy=False)
 
-    `m` is n x n, or the leading p x q block (p, q <= n) of an n x n sample,
-    or a (k, p, q) stack of such blocks; corners T_{p',q'} with p' <= p and
-    q' <= q read off the same either way, and a stack's fields equal the
-    single fields bit for bit.  The matrix size n defaults to the block's row
-    count, so a block of fewer than n rows must pass it: it is the field's
-    `n`, the bound on q, and the size above which (n >= 1000) the
-    accumulation runs in extended precision so that the unit-row identity
-    T_{n,n} = n survives to 1e-10.
-    """
+
+def trace_field(m: np.ndarray) -> TraceField:
+    """Prefix-sum grid of an n x q block (q <= n) or of each in a (k, n, q) stack."""
     m = np.asarray(m)
     if m.ndim not in (2, 3):
         raise DimensionError(f"expected a block or a stack of blocks, got shape {m.shape}")
-    rows, cols = m.shape[-2:]
-    n = rows if n is None else n
-    if not (rows <= n and cols <= n):
-        raise DimensionError(f"expected p x q rows and columns with p, q <= n = {n}, "
-                             f"got shape {m.shape}")
-    weights = np.abs(m) ** 2
-    if n >= 1000:
-        weights = weights.astype(np.longdouble)
-    cum = np.zeros((*m.shape[:-2], rows + 1, cols + 1), dtype=weights.dtype)
+    n, cols = m.shape[-2:]
+    if cols > n:
+        raise DimensionError(f"expected n x q columns with q <= n, got shape {m.shape}")
+    weights = _squared_moduli(m, n)
+    cum = np.zeros((*m.shape[:-2], n + 1, cols + 1), dtype=weights.dtype)
     np.cumsum(weights, axis=-2, out=weights)
     np.cumsum(weights, axis=-1, out=weights)
     cum[..., 1:, 1:] = weights
     return TraceField(n, cum.astype(np.float64, copy=False))
+
+
+def corner_traces(n: int, ps, qs) -> Callable[[np.ndarray], np.ndarray]:
+    """Stack function: (k, rows, columns) leading blocks of n x n samples to
+    their (k, len(ps)) corner traces T_{ps[i], qs[i]}.  A side of 0 or n
+    gives the exact min(p, q); the others lie in the block and equal
+    `trace_field`'s entries bit for bit (summed down the rows, then along).
+    """
+    ps, qs = np.asarray(ps, dtype=np.intp), np.asarray(qs, dtype=np.intp)
+    exact = (ps == 0) | (qs == 0) | (ps == n) | (qs == n)
+    fixed = np.where(exact, np.minimum(ps, qs), 0).astype(np.float64)
+    inner = np.flatnonzero(~exact)
+    rows, row_of = np.unique(ps[inner] - 1, return_inverse=True)
+    cols = qs[inner] - 1
+
+    def traces(stack: np.ndarray) -> np.ndarray:
+        weights = _squared_moduli(stack, n)
+        np.cumsum(weights, axis=-2, out=weights)
+        picked = weights[:, rows]
+        np.cumsum(picked, axis=-1, out=picked)
+        out = np.tile(fixed, (len(stack), 1))
+        out[:, inner] = picked[:, row_of, cols]
+        return out
+
+    return traces
 
 
 def floor_index(n: int, x: float | Fraction) -> int:
@@ -128,22 +144,17 @@ def sample_process_values(group: str, n: int, grid_points: Sequence[GridPoint],
     """Matrix of W values, one row per replica, one column per grid point.
 
     Equal, value for value, to `process_value` at each point, so points on
-    the axes and on the lines s = 1 and t = 1 give an exact 0; the corners
-    and centring are computed once, each chunk of replicas is one indexed
-    read of its stacked trace fields, and only the block up to the tallest
-    and widest corner is sampled.
+    the axes and on the lines s = 1 and t = 1 give an exact 0.  The corner
+    reader and the centring are built once, and only the block up to the
+    tallest and widest corner is sampled.
     """
-    pts = tuple(grid_points)
-    ps = np.array([floor_index(n, s) for s, _ in pts], dtype=np.intp)
-    qs = np.array([floor_index(n, t) for _, t in pts], dtype=np.intp)
-    # from the real corners: the same block, so the same samples
+    ps, qs = np.array([(floor_index(n, s), floor_index(n, t)) for s, t in grid_points],
+                      dtype=np.intp).reshape(-1, 2).T
     rows, columns = (max(1, int(x.max(initial=0))) for x in (ps, qs))
-    full = (ps == n) | (qs == n)
-    ps[full] = qs[full] = 0  # corner (0, 0) reads, and centres to, an exact 0
-    centre = ps * qs / n
+    traces, centre = corner_traces(n, ps, qs), ps * qs / n
 
     def values(stack: np.ndarray) -> np.ndarray:
-        return trace_field(stack, n).cumulative[:, ps, qs] - centre
+        return traces(stack) - centre
 
     return map_replicas(group, n, replicas, master_seed, values, workers=workers,
                         columns=columns, rows=rows)
@@ -447,32 +458,30 @@ def increment_fourth_moment_fit(group: str, n: int, replicas: int, master_seed: 
     """Estimate E[increment^4] over dyadic blocks and fit the scaling constant."""
     if replicas < 2:
         raise InsufficientReplicasError(f"increment fit needs at least 2 replicas, got {replicas}")
+    levels = tuple(levels)
+    if not levels or min(levels) < 1:
+        raise ValueError(f"levels must be one or more integers >= 1, got {levels}")
     blocks, corners = [], []  # (level, i, j, dp, dq) and (p1, p2, q1, q2) per block
     for lev in levels:
         cells = 2 ** lev
         cuts = [floor_index(n, i / cells) for i in range(cells + 1)]
         for i in range(cells):
             for j in range(cells):
-                dp = cuts[i + 1] - cuts[i]
-                dq = cuts[j + 1] - cuts[j]
+                dp, dq = cuts[i + 1] - cuts[i], cuts[j + 1] - cuts[j]
                 if dp > 0 and dq > 0:
                     blocks.append((lev, i, j, dp, dq))
                     corners.append((cuts[i], cuts[i + 1], cuts[j], cuts[j + 1]))
     cuts = np.array(corners, dtype=np.intp).reshape(-1, 4)
     p1, p2, q1, q2 = cuts.T
     centre = (p2 - p1) * (q2 - q1) / n
-    # T_{n,q} = q and T_{p,n} = p exactly, as `process_value` uses: only the
-    # leading cuts below n are sampled, and index inner + 1 stands for n
+    # T_{n,q} = q and T_{p,n} = p are exact: only the largest cut below n is sampled
     inner = max(1, int(cuts[cuts < n].max(initial=0)))
-    edge = np.append(np.arange(inner + 1), n).astype(np.float64)
-    p1, p2, q1, q2 = np.where(cuts == n, inner + 1, cuts).T
+    traces = corner_traces(n, np.concatenate([p2, p2, p1, p1]), np.concatenate([q2, q1, q2, q1]))
 
     def increments(stack: np.ndarray) -> np.ndarray:
         # `block_increment` at every block, in its order of operations
-        c = np.empty((len(stack), inner + 2, inner + 2))
-        c[:, :-1, :-1] = trace_field(stack, n).cumulative
-        c[:, -1, :] = c[:, :, -1] = edge
-        return c[:, p2, q2] - c[:, p2, q1] - c[:, p1, q2] + c[:, p1, q1] - centre
+        t = traces(stack).reshape(len(stack), 4, -1)
+        return t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3] - centre
 
     deltas = map_replicas(group, n, replicas, master_seed, increments, workers=workers,
                           columns=inner, rows=inner)
@@ -481,7 +490,7 @@ def increment_fourth_moment_fit(group: str, n: int, replicas: int, master_seed: 
     scale = np.array([float(n) ** 4 / (dp * dp * dq * dq) for (_, _, _, dp, dq) in blocks])
     ratios = fourth * scale
     return IncrementFit(
-        group=group, n=n, replicas=replicas, levels=tuple(levels),
+        group=group, n=n, replicas=replicas, levels=levels,
         blocks=tuple(blocks), fourth_moments=fourth, fourth_moment_ses=ses,
         ratios=ratios, c_max=float(ratios.max()),
     )

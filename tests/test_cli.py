@@ -312,7 +312,7 @@ def test_simulate_floors_decimal_grid_values_exactly(tmp_path):
     assert cov["limit"] == limit_covariance(0.29, 0.29, 0.29, 0.29, 2)
     # the leading 29 rows and columns, sampled by the route the command takes
     values = map_replicas("unitary", 100, 100, 4,
-                          lambda z: trace_field(z, 100).cumulative[:, 29, 29:30] - 29 * 29 / 100,
+                          lambda z: trace_field(z).cumulative[:, 29, 29:30] - 29 * 29 / 100,
                           columns=29, rows=29)
     assert cov["estimate"] == float(covariance_mc(values)[0][0, 0])
 
@@ -331,8 +331,9 @@ def _no_sampling(*args, **kwargs):
 
 
 @pytest.mark.parametrize("grid, named", [("", "''"), (" , ", "' , '"),
-                                         ("1.5", "1.5"), ("0.5,-0.25", "-0.25")],
-                         ids=["empty", "blank", "above-one", "negative"])
+                                         ("1.5", "1.5"), ("0.5,-0.25", "-0.25"),
+                                         ("0.5,1/0", "'1/0'")],
+                         ids=["empty", "blank", "above-one", "negative", "zero-denominator"])
 def test_simulate_rejects_bad_grid_before_sampling(grid, named, monkeypatch, capsys):
     monkeypatch.setattr(empirics, "sample_process_values", _no_sampling)
     assert main(["simulate", "--n", "20", "--replicas", "100", "--grid", grid]) == 2
@@ -361,6 +362,17 @@ def test_spectra_rejects_nonpositive_bins(bins, monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "bins" in err and f"got {bins}" in err
+
+
+@pytest.mark.parametrize("s, t, flag", [("1/0", "0.5", "--s"), ("0.3", "1/0", "--t")],
+                         ids=["s", "t"])
+def test_spectra_rejects_zero_denominator(s, t, flag, monkeypatch, capsys):
+    monkeypatch.setattr(empirics, "map_replicas", _no_sampling)
+    with pytest.raises(SystemExit) as exc:
+        main(["spectra", "--n", "20", "--s", s, "--t", t, "--replicas", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "'1/0'" in err and "Traceback" not in err
 
 
 def test_spectra_rejects_single_replica(monkeypatch, capsys):

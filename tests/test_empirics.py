@@ -8,6 +8,7 @@ from haartrace.cumulants import variance_closed, variance_closed_orthogonal
 from haartrace.empirics import (
     block_increment,
     bridge_reference,
+    corner_traces,
     covariance_mc,
     floor_index,
     increment_fourth_moment_fit,
@@ -59,15 +60,45 @@ def test_trace_field_requires_square():
         trace_field(np.ones((3, 4)))
 
 
-def test_trace_field_of_leading_rows_keeps_the_matrix_size():
-    u = haar_unitary(12, SeedSpec(6))
-    f = trace_field(u[:5, :7], 12)
-    assert f.n == 12 and f.cumulative.shape == (6, 8)
-    assert np.array_equal(f.cumulative, trace_field(u).cumulative[:6, :8])
-    assert process_value(f, 0.42, 0.5) == f.corner(5, 6) - 5 * 6 / 12
-    for shape in ((5, 13), (13, 5)):
-        with pytest.raises(DimensionError):
-            trace_field(np.ones(shape), 12)
+@pytest.mark.parametrize("dtype, k, n, q", [
+    (np.float64, 3, 12, 12), (np.complex128, 2, 12, 9),
+    (np.float64, 2, 1000, 6), (np.complex128, 1, 1000, 5),
+], ids=["real", "complex", "real-n1000", "complex-n1000"])
+def test_corner_traces_read_trace_field_inside_and_min_on_the_sides(dtype, k, n, q):
+    rng = np.random.default_rng(n + q)
+    stack = rng.standard_normal((k, n, q)).astype(dtype)
+    if dtype is np.complex128:
+        stack.imag = rng.standard_normal((k, n, q))
+    # unsorted, with repeated rows and columns, and every kind of side
+    ps = np.array([5, 1, n - 1, 5, 2, 5, 0, 0, n, 3, n, 4])
+    qs = np.array([3, 1, q - 1, q, 3, 3, 4, 0, 2, n, n, q])
+    inside = (ps % n > 0) & (qs % n > 0)
+    traces = corner_traces(n, ps, qs)(stack)
+    assert traces.shape == (k, len(ps)) and traces.dtype == np.float64
+    field = trace_field(stack).cumulative
+    assert np.array_equal(traces[:, inside], field[:, ps[inside], qs[inside]])
+    assert np.array_equal(traces[:, ~inside], np.tile(np.minimum(ps, qs)[~inside], (k, 1)))
+    # the leading rows up to the tallest corner inside, as the pipelines sample
+    top = ps[inside].max()
+    assert np.array_equal(corner_traces(n, ps, qs)(stack[:, :top].copy()), traces)
+
+
+def test_corner_traces_without_a_corner_inside():
+    traces = corner_traces(8, [0, 8, 3, 8], [5, 2, 8, 8])(np.ones((2, 8, 8)))
+    assert np.array_equal(traces, [[0.0, 2.0, 3.0, 8.0]] * 2)
+
+
+def test_replica_pipelines_build_no_trace_field(monkeypatch):
+    from haartrace import empirics
+
+    def built(*args, **kwargs):
+        raise AssertionError("a trace field was built")
+
+    monkeypatch.setattr(empirics, "trace_field", built)
+    values = sample_process_values("unitary", 16, [(0.25, 0.5), (1, 0.5), (0.5, 0)], 4, 3)
+    assert values.shape == (4, 3) and np.all(values[:, 1:] == 0.0)
+    fit = increment_fourth_moment_fit("orthogonal", 16, 4, master_seed=3, levels=(1,))
+    assert fit.fourth_moments.shape == (4,)
 
 
 def test_process_value_boundaries():
@@ -429,3 +460,17 @@ def test_increment_fit_rejects_too_few_replicas_before_sampling(monkeypatch, rep
     monkeypatch.setattr(empirics, "map_replicas", sampled)
     with pytest.raises(InsufficientReplicasError, match=f"got {replicas}$"):
         increment_fourth_moment_fit("unitary", 16, replicas, master_seed=21)
+
+
+@pytest.mark.parametrize("levels, named", [
+    ((), r"\(\)"), ((0,), r"\(0,\)"), ((2, -1), r"\(2, -1\)"),
+], ids=["empty", "zero", "negative"])
+def test_increment_fit_rejects_bad_levels_before_sampling(monkeypatch, levels, named):
+    from haartrace import empirics
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("a replica was sampled")
+
+    monkeypatch.setattr(empirics, "map_replicas", sampled)
+    with pytest.raises(ValueError, match=f"levels .* got {named}$"):
+        increment_fourth_moment_fit("unitary", 16, 50, master_seed=21, levels=levels)

@@ -267,18 +267,21 @@ def test_replica_loop_reuses_its_freed_arrays(workers):
     if _mallopt() is None:
         pytest.skip("the C library has no mallopt")
 
-    def faults():
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
     def rows(z):
         return trace_field(z).cumulative[:, -1, -1:]
 
-    map_replicas("unitary", 200, 4, 9, rows, workers=workers)  # grows the heaps once
-    before = faults()
-    map_replicas("unitary", 200, 40, 9, rows, workers=workers, start=4)
-    # a replica allocates about 3 MB; unmapped and faulted in again, that
-    # would be hundreds of page faults per replica
-    assert (faults() - before) / 40 < 20
+    def faults(replicas, start):  # minor page faults of one call
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        map_replicas("unitary", 200, replicas, 9, rows, workers=workers, start=start)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults(4, 0)  # grows the heaps once
+    # every call also pays the pool's start-up, so the per-replica rate is
+    # the difference of two calls 40 replicas apart.  A replica allocates
+    # about 3 MB: unmapped and faulted in again, that would be hundreds of
+    # page faults per replica
+    short = faults(8, 4)
+    assert (faults(48, 12) - short) / 40 < 20
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,20 @@ def test_script_runs_and_prints_summary(script, args, summary):
     ("bridge_covariance.py", ["--n", "8", "--replicas", "200", "--workers", "0"], "got '0'"),
     ("bridge_covariance.py", ["--n", "0", "--replicas", "100"], "got 0"),
     ("spectral_limit.py", ["--n", "8", "--replicas", "1"], "got 1"),
+    ("bridge_covariance.py", ["--n", "8", "--replicas", "200", "--axis", "0.5,1/0"], "'1/0'"),
+    ("spectral_limit.py", ["--n", "8", "--replicas", "4", "--s", "1/0"], "'1/0'"),
     ("increment_tightness.py", ["--sizes", "16", "--replicas", "1"], "got 1"),
+    ("increment_tightness.py", ["--sizes", "16,abc", "--replicas", "50"], "'16,abc'"),
+    ("increment_tightness.py", ["--sizes", "16", "--replicas", "50", "--levels", ""], "''"),
+    ("increment_tightness.py", ["--sizes", "16", "--replicas", "50", "--levels", "-1"],
+     "got (-1,)"),
+    ("increment_tightness.py", ["--sizes", "16", "--replicas", "50", "--levels", "0"],
+     "got (0,)"),
 ], ids=["bridge_covariance_replicas", "bridge_covariance_workers", "bridge_covariance_n",
-        "spectral_limit_replicas", "increment_tightness_replicas"])
+        "spectral_limit_replicas", "bridge_covariance_zero_denominator",
+        "spectral_limit_zero_denominator", "increment_tightness_replicas",
+        "increment_tightness_sizes", "increment_tightness_empty_levels",
+        "increment_tightness_negative_level", "increment_tightness_level_zero"])
 def test_script_rejects_bad_input_before_sampling(script, args, named):
     done = _run(script, args)
     assert done.returncode == 2, done.stderr
