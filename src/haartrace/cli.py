@@ -257,9 +257,11 @@ def cmd_spectra(config: RunConfig) -> tuple[list[dict], int]:
 # ---------------------------------------------------------------------------
 
 def _clear_exact_caches() -> None:
+    wg._loop_exponents.cache_clear()
     wg.gram_inverse.cache_clear()
     wg.weingarten_table.cache_clear()
     cm._cycle_set_cumulant.cache_clear()
+    cm._admissible_monomials.cache_clear()
     cm._coefficient_table.cache_clear()
     cm._moment_matrix.cache_clear()
     cm._block_moment.cache_clear()

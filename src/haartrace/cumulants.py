@@ -16,11 +16,12 @@ Weingarten argument while joining with those of alpha and beta to the full
 one-block partition, and (orthogonal case) sigma is the double-coset
 representative extracted from t_{alpha^-1} tau_eps t_beta.
 
-Both sums are evaluated one way: the dims-independent coefficients of all
-(alpha, beta) pairs are cached per (group, n, r) as one integer matrix C over
-a common denominator D, and a family costs two trace vectors a_i = Tr_{alpha_i},
-b_j = Tr_{beta_j} and one product kappa_r = a^T C b / D.  Everything on this
-path is exact.
+Both sums are evaluated one way.  The admissible (pi, A) do not depend on n,
+so they are found once per (group, r), as monomials in cycle-set cumulants.
+Evaluated at n, they give the dims-independent pair coefficients as one
+integer matrix C over a common denominator D, cached per (group, n, r).  A
+family costs two trace vectors a_i = Tr_{alpha_i}, b_j = Tr_{beta_j} and one
+product kappa_r = a^T C b / D.  Everything on this path is exact.
 
 An independent moment-side oracle (`mixed_trace_moment` fed through
 `classical_cumulant`) recomputes every cumulant from raw joint moments by the
@@ -41,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -81,6 +83,8 @@ class ProjectorFamily:
     dims: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise DimensionError(f"matrix size must be positive, got {self.n}")
         for p, q in self.dims:
             if not (0 <= p <= self.n and 0 <= q <= self.n):
                 raise DimensionError(f"corner dims ({p},{q}) outside [0,{self.n}]")
@@ -227,7 +231,6 @@ def relative_cumulant_orthogonal(sigma: Permutation, a: SetPartition, n: int) ->
 # Trace cumulants: the closed double-sum route
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _sigma_triple(r: int, alpha_images: tuple, beta_images: tuple, eps: tuple) -> Permutation:
     alpha = Permutation(alpha_images)
     beta = Permutation(beta_images)
@@ -235,31 +238,39 @@ def _sigma_triple(r: int, alpha_images: tuple, beta_images: tuple, eps: tuple) -
     return sigma_of(big)
 
 
-def _pair_coefficient(group: str, n: int, alpha: Permutation, beta: Permutation) -> Fraction:
-    """Dims-independent coefficient of one (alpha, beta) term of the double sum.
+@lru_cache(maxsize=None)
+def _admissible_monomials(group: str, r: int) -> tuple[tuple[tuple[Fraction, tuple], ...], ...]:
+    """The n-free part of the pair coefficients: a weight and monomials per (alpha, beta).
 
-    Sums relative cumulants C_{pi, A} over admissible A: coarsenings of the
-    cycle partition of pi that join with the cycle partitions of alpha and
-    beta to the one-block partition.  pi is beta alpha^-1 (unitary), or runs
-    over the sigma of every sign vector eps, with weight 2^(r - #alpha - #beta)
-    (orthogonal).
+    The coefficient of one (alpha, beta) term sums relative cumulants C_{pi, A}
+    over admissible A: groupings of the cycles of pi that join with the cycle
+    partitions of alpha and beta to the one-block partition.  pi is
+    beta alpha^-1 (unitary), or the sigma of every sign vector eps, with weight
+    2^(r - #alpha - #beta) (orthogonal).  C_{pi, A} factorizes over blocks, so
+    A is kept as a monomial: the sorted tuple of its blocks' cycle types.
     """
-    r = alpha.size
-    ab = join(cycle_partition(alpha), cycle_partition(beta))
     full = one_partition(r)
-    if group == "unitary":
-        pis, weight = [beta * alpha.inverse()], Fraction(1)
-    else:
-        pis = [_sigma_triple(r, alpha.images, beta.images, eps)
-               for eps in itertools.product((1, -1), repeat=r)]
-        weight = Fraction(2 ** r, 2 ** (alpha.num_cycles + beta.num_cycles))
-    total = Fraction(0)
-    for pi in pis:
-        pi_part = cycle_partition(pi)
-        for a in enumerate_partitions(r):
-            if refines(pi_part, a) and join(a, ab) == full:
-                total += _relative_cumulant(group, pi, a, n)
-    return weight * total
+
+    def pair(alpha: Permutation, beta: Permutation) -> tuple[Fraction, tuple]:
+        ab = join(cycle_partition(alpha), cycle_partition(beta))
+        if group == "unitary":
+            pis, weight = [beta * alpha.inverse()], Fraction(1)
+        else:
+            pis = [_sigma_triple(r, alpha.images, beta.images, eps)
+                   for eps in itertools.product((1, -1), repeat=r)]
+            weight = Fraction(2 ** r, 2 ** (alpha.num_cycles + beta.num_cycles))
+        monomials: Counter = Counter()
+        for pi in pis:
+            cycles = pi.cycles()
+            for grouping in enumerate_partitions(len(cycles)):
+                blocks = [[cycles[c - 1] for c in block] for block in grouping.blocks]
+                if join(SetPartition.of(r, [sum(block, ()) for block in blocks]), ab) == full:
+                    monomials[tuple(sorted(tuple(sorted(map(len, block), reverse=True))
+                                           for block in blocks))] += 1
+        return weight, tuple(monomials.items())
+
+    perms = all_permutations(r)
+    return tuple(tuple(pair(alpha, beta) for beta in perms) for alpha in perms)
 
 
 @lru_cache(maxsize=None)
@@ -267,10 +278,13 @@ def _coefficient_table(group: str, n: int, r: int) -> tuple[tuple[tuple[int, ...
     """Integer matrix C and common denominator D of the pair coefficients.
 
     Row i and column j belong to the i-th and j-th permutation of
-    `all_permutations(r)`, taken as alpha and beta respectively.
+    `all_permutations(r)`, taken as alpha and beta respectively.  Each entry
+    evaluates the monomials of `_admissible_monomials` at n.
     """
-    perms = all_permutations(r)
-    coeffs = [[_pair_coefficient(group, n, alpha, beta) for beta in perms] for alpha in perms]
+    coeffs = [[weight * sum((count * math.prod(_cycle_set_cumulant(group, n, t) for t in mono)
+                             for mono, count in monomials), Fraction(0))
+               for weight, monomials in row]
+              for row in _admissible_monomials(group, r)]
     denom = math.lcm(*(c.denominator for row in coeffs for c in row))
     table = tuple(tuple(c.numerator * (denom // c.denominator) for c in row) for row in coeffs)
     return table, denom

@@ -22,8 +22,9 @@ and `is_inverse` checks G N = D I by integer product.  Only the Weingarten
 values and joint moments read off it are `fractions.Fraction`s.  A
 singular Gram matrix raises; no pseudo-inverse is ever attempted.
 
-Inverses and read-only tables are memoized per (group, n, k); cache entries
-are only ever written with the value they will always hold.
+Loop counts do not depend on n and are memoized per (group, k); inverses and
+read-only tables are memoized per (group, n, k).  Cache entries are only
+ever written with the value they will always hold.
 """
 from __future__ import annotations
 
@@ -122,12 +123,19 @@ def pairings(group: str, k: int) -> tuple[Pairing, ...]:
     return enumerate_pairings(2 * k)
 
 
+@lru_cache(maxsize=None)
+def _loop_exponents(group: str, k: int) -> IntMatrix:
+    """loop(p1, p2) over pairings(group, k): the exponents of the Gram matrix."""
+    index = pairings(group, k)
+    return tuple(tuple(loop_count(p1, p2) for p2 in index) for p1 in index)
+
+
 def gram(group: str, n: int, k: int) -> IntMatrix:
     """Gram matrix n^loop(p1, p2) over pairings(group, k)."""
-    index = pairings(group, k)
+    exponents = _loop_exponents(group, k)
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
-    return tuple(tuple(n ** loop_count(p1, p2) for p2 in index) for p1 in index)
+    return tuple(tuple(n ** e for e in row) for row in exponents)
 
 
 @lru_cache(maxsize=None)

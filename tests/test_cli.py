@@ -207,8 +207,9 @@ def test_verification_is_hermetic_after_injection():
 def test_verification_leaves_exact_caches_empty():
     from haartrace import cumulants as cm, weingarten as wg
     run_verification("quick")
-    caches = [wg.gram_inverse, wg.weingarten_table, cm._cycle_set_cumulant,
-              cm._coefficient_table, cm._moment_matrix, cm._block_moment]
+    caches = [wg._loop_exponents, wg.gram_inverse, wg.weingarten_table,
+              cm._cycle_set_cumulant, cm._admissible_monomials, cm._coefficient_table,
+              cm._moment_matrix, cm._block_moment]
     assert {c.__name__: c.cache_info().currsize for c in caches} == \
         {c.__name__: 0 for c in caches}
 
@@ -382,6 +383,14 @@ def test_spectra_rejects_single_replica(monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "replicas" in err and "got 1" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cumulant_nonpositive_size_names_n(n, capsys):
+    # the size is checked before the corner dims, which would name [0, n]
+    assert main(["cumulant", "--n", n, "--dims", "1:1"]) == 2
+    err = capsys.readouterr().err
+    assert f"matrix size must be positive, got {n}" in err and "corner dims" not in err
 
 
 def test_cumulant_malformed_dims_names_chunk(capsys):

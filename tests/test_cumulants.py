@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from haartrace.combinatorics import (
     all_permutations,
     cycle_partition,
     enumerate_partitions,
+    join,
     one_partition,
     refines,
     zero_partition,
@@ -328,7 +330,7 @@ def test_moment_oracle_shares_no_code_with_closed_route(monkeypatch):
     def closed_route_called(*args, **kwargs):
         raise AssertionError("the moment oracle reached the closed route")
 
-    for name in ("_coefficient_table", "_closed_cumulant", "_pair_coefficient",
+    for name in ("_coefficient_table", "_closed_cumulant", "_admissible_monomials",
                  "_relative_cumulant", "_cycle_set_cumulant", "trace_cumulant",
                  "trace_cumulant_unitary", "trace_cumulant_orthogonal", "_sigma_triple",
                  "projector_trace", "weingarten_unitary", "weingarten_orthogonal"):
@@ -344,21 +346,72 @@ def test_moment_oracle_shares_no_code_with_closed_route(monkeypatch):
         cm._block_moment.cache_clear()
 
 
+def _no_signs(r, alpha_images, beta_images, eps):
+    """A _sigma_triple mutant that ignores the sign vector."""
+    from haartrace.weingarten import sigma_of, t_of_perm
+    return sigma_of(t_of_perm(Permutation(alpha_images).inverse())
+                    * t_of_perm(Permutation(beta_images)))
+
+
 def test_coset_mutant_is_caught_by_the_oracle(monkeypatch):
     # a _sigma_triple that ignores the sign vector breaks the closed
     # orthogonal route; an oracle sharing that code would move with it
     import haartrace.cumulants as cm
     from haartrace.cli import run_verification
-    from haartrace.weingarten import sigma_of, t_of_perm
 
-    def no_signs(r, alpha_images, beta_images, eps):
-        return sigma_of(t_of_perm(Permutation(alpha_images).inverse())
-                        * t_of_perm(Permutation(beta_images)))
-
-    monkeypatch.setattr(cm, "_sigma_triple", no_signs)
+    monkeypatch.setattr(cm, "_sigma_triple", _no_signs)
     _, rows = run_verification("quick")
     row = next(r for r in rows if r["identity"] == "oracle-equivalence-orthogonal")
     assert row["failures"] > 0
+
+
+def test_coset_mutant_is_caught_with_the_structure_warm(monkeypatch):
+    # the admissible monomials are built before the mutant goes in; a
+    # structure that survived the verify run's cache clearing would hide it
+    import haartrace.cumulants as cm
+    from haartrace.cli import run_verification
+
+    for r in (1, 2, 3):
+        cm._admissible_monomials("orthogonal", r)
+    monkeypatch.setattr(cm, "_sigma_triple", _no_signs)
+    _, rows = run_verification("quick")
+    row = next(r for r in rows if r["identity"] == "oracle-equivalence-orthogonal")
+    assert row["status"] == "FAIL"
+
+
+def _filtered_pair_coefficient(group, n, alpha, beta):
+    """One (alpha, beta) coefficient by filtering every partition of [r] at n.
+
+    Sums C_{pi, A} over the coarsenings A of the cycle partition of pi that
+    join with the cycle partitions of alpha and beta to the one-block
+    partition: the definition that `_admissible_monomials` evaluates once
+    per (group, r) instead.
+    """
+    import haartrace.cumulants as cm
+    r = alpha.size
+    ab = join(cycle_partition(alpha), cycle_partition(beta))
+    if group == "unitary":
+        pis, weight = [beta * alpha.inverse()], Fraction(1)
+    else:
+        pis = [cm._sigma_triple(r, alpha.images, beta.images, eps)
+               for eps in itertools.product((1, -1), repeat=r)]
+        weight = Fraction(2 ** r, 2 ** (alpha.num_cycles + beta.num_cycles))
+    return weight * sum((cm._relative_cumulant(group, pi, a, n)
+                         for pi in pis for a in enumerate_partitions(r)
+                         if refines(cycle_partition(pi), a) and join(a, ab) == one_partition(r)),
+                        Fraction(0))
+
+
+@pytest.mark.parametrize("group, rmax", [("unitary", 4), ("orthogonal", 3)])
+def test_coefficient_table_equals_the_filtered_reference(group, rmax):
+    import haartrace.cumulants as cm
+    for r in range(1, rmax + 1):
+        perms = all_permutations(r)
+        for n in (4, 5, 6):
+            want = [[_filtered_pair_coefficient(group, n, a, b) for b in perms] for a in perms]
+            table, denom = cm._coefficient_table(group, n, r)
+            assert denom == math.lcm(*(c.denominator for row in want for c in row))
+            assert [[Fraction(c, denom) for c in row] for row in table] == want
 
 
 def test_trace_cumulant_r3_equals_oracle_spec_example():

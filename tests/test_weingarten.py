@@ -19,6 +19,7 @@ from haartrace.combinatorics import (
 from haartrace.errors import SingularGramError, SizeLimitError
 from haartrace.sampling import haar_batch
 from haartrace.weingarten import (
+    ORDER_LIMITS,
     _bareiss_inverse,
     eta,
     gram,
@@ -26,6 +27,7 @@ from haartrace.weingarten import (
     is_inverse,
     joint_moment_orthogonal,
     joint_moment_unitary,
+    pairings,
     sigma_of,
     t_of_perm,
     tau_of_signs,
@@ -125,6 +127,41 @@ def test_gram_unitary_small():
     for n in (1, 3, 7):
         assert gram("unitary", n, 1) == ((n,),)
         assert gram("unitary", n, 2) == ((n * n, n), (n, n * n))
+
+
+@pytest.mark.parametrize("group, k", [(group, k) for group, limit in ORDER_LIMITS.items()
+                                      for k in range(1, limit + 1)])
+def test_gram_is_n_to_the_loop_count_at_every_size(group, k):
+    # the loop counts are cached per (group, k); only the power depends on n
+    index = pairings(group, k)
+    for n in (1, 4, 9):
+        assert gram(group, n, k) == tuple(tuple(n ** loop_count(p1, p2) for p2 in index)
+                                          for p1 in index)
+
+
+def test_gram_exponent_mutant_is_caught_by_verify(monkeypatch):
+    # one off-diagonal loop exponent of k = 2 one lower, for both groups.  The
+    # gram-inverse rows cannot see it: G and its inverse move together, so
+    # G N = D I still holds.  Raising [0][1] and [1][0] instead would make the
+    # unitary k = 2 matrix singular, which raises rather than tallying a row.
+    import haartrace.weingarten as wg
+    from haartrace.cli import run_verification
+
+    real = wg._loop_exponents
+
+    @functools.lru_cache(maxsize=None)
+    def one_lower(group, k):
+        exponents = [list(row) for row in real(group, k)]
+        if k == 2:
+            exponents[0][1] -= 1
+        return tuple(map(tuple, exponents))
+
+    monkeypatch.setattr(wg, "_loop_exponents", one_lower)
+    ok, rows = run_verification("quick")
+    failures = {row["identity"]: row["failures"] for row in rows}
+    assert not ok
+    assert (failures["weingarten-closed-forms"], failures["covariance-closed-form"]) == (10, 256)
+    assert failures["gram-inverse-unitary"] == failures["gram-inverse-orthogonal"] == 0
 
 
 def test_gram_unitary_matches_loop_oracle():
