@@ -12,6 +12,7 @@ import math
 
 from haartrace.cli import RunConfig, cmd_simulate, parse_grid, worker_count
 from haartrace.empirics import check_covariance_replicas, floor_index
+from haartrace.sampling import SeedSpec
 
 
 def main() -> None:
@@ -28,6 +29,7 @@ def main() -> None:
         parse_grid(args.grid, "--axis")
         check_covariance_replicas(args.replicas)
         floor_index(args.n, 0)
+        SeedSpec(args.master_seed)
     except ValueError as exc:
         ap.error(str(exc))
 

@@ -36,8 +36,7 @@ from .cumulants import (
     mixed_trace_moment,
     process_covariance,
     projector_trace,
-    relative_cumulant_orthogonal,
-    relative_cumulant_unitary,
+    relative_cumulant,
     trace_cumulant,
     trace_cumulant_orthogonal,
     trace_cumulant_unitary,
@@ -73,9 +72,7 @@ from .errors import (
 from .sampling import (
     SeedSpec,
     haar_batch,
-    haar_orthogonal,
     haar_sample,
-    haar_unitary,
     orthonormality_residual,
 )
 from .weingarten import (
@@ -84,8 +81,7 @@ from .weingarten import (
     gram,
     gram_inverse,
     is_inverse,
-    joint_moment_orthogonal,
-    joint_moment_unitary,
+    joint_moment,
     sigma_of,
     t_of_perm,
     tau_of_signs,

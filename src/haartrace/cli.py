@@ -294,9 +294,9 @@ def _check_closed_weingarten(sizes: list[int], offsets: dict[tuple[str, int], Fr
             (wg.weingarten_orthogonal(n, (1,)), Fraction(1, n), "orthogonal k=1"),
             (wg.weingarten_orthogonal(n, (1, 1)),
              Fraction(n + 1, n * (n + 2) * (n - 1)), "orthogonal id2"),
-            (wg.joint_moment_orthogonal((1, 1, 1, 1), (1, 1, 1, 1), n),
+            (wg.joint_moment("orthogonal", (1, 1, 1, 1), (1, 1, 1, 1), n),
              Fraction(3, n * (n + 2)), "orthogonal O^4"),
-            (wg.joint_moment_orthogonal((1, 1, 1, 1), (1, 2, 1, 2), n),
+            (wg.joint_moment("orthogonal", (1, 1, 1, 1), (1, 2, 1, 2), n),
              Fraction(1, n * (n + 2)), "orthogonal O^2 O^2 same row"),
         ]
         for got, want, name in checks:
@@ -410,6 +410,16 @@ def worker_count(text: str) -> int:
     return count
 
 
+def output_path(text: str) -> str:
+    """A report file in an existing folder, checked before any work; "" is stdout."""
+    folder = os.path.dirname(text) or "."
+    if text and os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"report path {text!r} is a directory")
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"report path {text!r} has no folder {folder!r}")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="haartrace",
@@ -419,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *, seeded: bool = False) -> None:
         p.add_argument("--group", choices=["unitary", "orthogonal"], default="unitary")
-        p.add_argument("--output", default="", help="output file (default stdout)")
+        p.add_argument("--output", type=output_path, default="",
+                       help="output file (default stdout)")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         if seeded:
             p.add_argument("--master-seed", type=int, default=0)

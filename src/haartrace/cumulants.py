@@ -134,27 +134,6 @@ def projector_trace(alpha: Permutation, dims: Sequence[int]) -> int:
     return out
 
 
-def diagonal_trace(alpha: Permutation, diagonals: Sequence[Sequence]) -> Fraction:
-    """Tr_alpha for diagonal matrices, given as per-factor diagonal vectors.
-
-    Generalizes projector_trace: with 0/1 diagonals of the first d entries it
-    reduces to the per-cycle minimum rule.
-    """
-    if len(diagonals) != alpha.size:
-        raise DimensionError("one diagonal per ground element required")
-    n = len(diagonals[0])
-    out = Fraction(1)
-    for cycle in alpha.cycles():
-        s = Fraction(0)
-        for x in range(n):
-            term = Fraction(1)
-            for a in cycle:
-                term *= diagonals[a - 1][x]
-            s += term
-        out *= s
-    return out
-
-
 def classical_cumulant(moments: MomentFunctional, r: int) -> Fraction:
     """Mobius-weighted alternating sum of the moment functional over P(r)."""
     one_r = one_partition(r)
@@ -198,7 +177,13 @@ def _cycle_set_cumulant(group: str, n: int, lengths: tuple[int, ...]) -> Fractio
     return total
 
 
-def _relative_cumulant(group: str, pi: Permutation, a: SetPartition, n: int) -> Fraction:
+def relative_cumulant(group: str, pi: Permutation, a: SetPartition, n: int) -> Fraction:
+    """Relative cumulant C_{pi, A} of the group's Weingarten function.
+
+    Defined by the Mobius inversion of block products of Weingarten values
+    along the interval [0_pi, A]; it factorizes over the blocks of A.  For
+    the orthogonal group pi is the double-coset representative sigma.
+    """
     limit = ORDER_LIMITS[group]
     if pi.size > limit:
         raise SizeLimitError(f"{group} relative cumulants limited to r <= {limit}")
@@ -211,20 +196,6 @@ def _relative_cumulant(group: str, pi: Permutation, a: SetPartition, n: int) -> 
         lengths = _restriction_type(pi, block)
         out *= _cycle_set_cumulant(group, n, lengths)
     return out
-
-
-def relative_cumulant_unitary(pi: Permutation, a: SetPartition, n: int) -> Fraction:
-    """Relative cumulant C_{pi, A} of the unitary Weingarten function.
-
-    Defined by the Mobius inversion of block products of Weingarten values
-    along the interval [0_pi, A]; it factorizes over the blocks of A.
-    """
-    return _relative_cumulant("unitary", pi, a, n)
-
-
-def relative_cumulant_orthogonal(sigma: Permutation, a: SetPartition, n: int) -> Fraction:
-    """Relative cumulant of the orthogonal Weingarten function."""
-    return _relative_cumulant("orthogonal", sigma, a, n)
 
 
 # ---------------------------------------------------------------------------
@@ -290,38 +261,28 @@ def _coefficient_table(group: str, n: int, r: int) -> tuple[tuple[tuple[int, ...
     return table, denom
 
 
-def _closed_cumulant(group: str, n: int, rows: Sequence, cols: Sequence,
-                     trace: Callable[[Permutation, Sequence], Fraction | int]) -> Fraction:
-    """kappa_r = a^T C b / D with a_i = Tr_{alpha_i}, b_j = Tr_{beta_j}.
+def trace_cumulant(req: CumulantRequest) -> Fraction:
+    """Exact order-r joint cumulant of corner traces of a Haar matrix.
 
-    `rows` and `cols` hold one entry per trace factor, in the form `trace`
-    reads (corner dimensions or diagonal vectors).  Alpha acts on the column
-    side for unitary matrices and on the row side for orthogonal ones.
+    kappa_r = a^T C b / D with a_i = Tr_{alpha_i}, b_j = Tr_{beta_j} of the
+    corner dimensions.  Alpha acts on the column side for unitary matrices
+    and on the row side for orthogonal ones.
     """
-    if group not in GROUPS:
-        raise ValueError(f"group must be one of {GROUPS}")
-    r = len(rows)
-    if len(cols) != r:
-        raise DimensionError("need matching row and column families")
+    group, fam, r = req.group, req.family, req.order
     limit = ORDER_LIMITS[group]
     if not 1 <= r <= limit:
         raise SizeLimitError(f"{group} trace cumulants limited to r <= {limit}")
+    rows, cols = fam.row_dims(), fam.col_dims()
     first, second = (cols, rows) if group == "unitary" else (rows, cols)
     perms = all_permutations(r)
-    b = [trace(beta, second) for beta in perms]
-    table, denom = _coefficient_table(group, n, r)
+    b = [projector_trace(beta, second) for beta in perms]
+    table, denom = _coefficient_table(group, fam.n, r)
     total = sum(
-        (trace(alpha, first) * sum(map(operator.mul, row, b))
+        (projector_trace(alpha, first) * sum(map(operator.mul, row, b))
          for alpha, row in zip(perms, table)),
         0,
     )
     return Fraction(total, denom)
-
-
-def trace_cumulant(req: CumulantRequest) -> Fraction:
-    """Exact order-r joint cumulant of corner traces of a Haar matrix."""
-    fam = req.family
-    return _closed_cumulant(req.group, fam.n, fam.row_dims(), fam.col_dims(), projector_trace)
 
 
 def trace_cumulant_unitary(req: CumulantRequest) -> Fraction:
@@ -336,16 +297,6 @@ def trace_cumulant_orthogonal(req: CumulantRequest) -> Fraction:
     if req.group != "orthogonal":
         raise ValueError("request group must be 'orthogonal'")
     return trace_cumulant(req)
-
-
-def trace_cumulant_diagonal(group: str, row_diags: Sequence[Sequence],
-                            col_diags: Sequence[Sequence], n: int) -> Fraction:
-    """Trace cumulant for general diagonal matrices in place of projectors.
-
-    Same double sum as the projector route with Tr_alpha evaluated on raw
-    diagonals; used to exercise multilinearity beyond nested corners.
-    """
-    return _closed_cumulant(group, n, row_diags, col_diags, diagonal_trace)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Monte Carlo side: the centered corner-mass process and its statistics.
 
-One sampled matrix is summarized by a 2D prefix-sum grid of squared entry
-moduli (`TraceField`), from which every corner trace T_{p,q} reads off in
-O(1).  The centered process is
+A corner trace T_{p,q} is the squared-entry mass of the leading p x q block
+of a sampled matrix.  The replica pipelines read only the corners they need
+from each stack of sampled blocks (`corner_traces`), and sample only the
+block that spans the corners strictly inside the matrix; T on a side of 0
+or n is exact.  The pointwise functions below read one matrix through its
+full 2D prefix-sum grid (`TraceField`).  The centered process is
 
     W(s, t) = T_{floor(ns), floor(nt)} - floor(ns) floor(nt) / n
 
-with right-continuous steps, vanishing on the axes and at (1,1); the replica
-pipelines read just their corners (`corner_traces`).  Across replicas we
-estimate cumulants with unbiased k-statistics, covariances of grid values,
-fourth moments of rectangular increments, and the corner product's spectrum,
-each with jackknife or plain standard errors.  Reference objects for the
-limits (tied-down bridge covariance, Kesten-McKay density) live here too.
+with right-continuous steps, vanishing on the axes and at (1,1).  Across
+replicas we estimate cumulants with unbiased k-statistics, covariances of
+grid values, fourth moments of rectangular increments, and the corner
+product's spectrum, each with jackknife or plain standard errors.  Reference
+objects for the limits (tied-down bridge covariance, Kesten-McKay density)
+live here too.
 """
 from __future__ import annotations
 
@@ -66,11 +69,15 @@ def trace_field(m: np.ndarray) -> TraceField:
     return TraceField(n, cum.astype(np.float64, copy=False))
 
 
-def corner_traces(n: int, ps, qs) -> Callable[[np.ndarray], np.ndarray]:
-    """Stack function: (k, rows, columns) leading blocks of n x n samples to
-    their (k, len(ps)) corner traces T_{ps[i], qs[i]}.  A side of 0 or n
-    gives the exact min(p, q); the others lie in the block and equal
-    `trace_field`'s entries bit for bit (summed down the rows, then along).
+def corner_traces(n: int, ps, qs) -> tuple[Callable[[np.ndarray], np.ndarray], int, int]:
+    """(traces, rows, columns): a stack function for the corner traces
+    T_{ps[i], qs[i]} of n x n samples, and the leading block it reads.
+
+    traces maps a (k, rows, columns) stack of leading blocks to the
+    (k, len(ps)) corner traces.  A side of 0 or n gives the exact
+    min(p, q), so the block spans only the corners inside, at least 1 x 1;
+    their traces equal `trace_field`'s entries bit for bit (summed down the
+    rows, then along).
     """
     ps, qs = np.asarray(ps, dtype=np.intp), np.asarray(qs, dtype=np.intp)
     exact = (ps == 0) | (qs == 0) | (ps == n) | (qs == n)
@@ -88,7 +95,7 @@ def corner_traces(n: int, ps, qs) -> Callable[[np.ndarray], np.ndarray]:
         out[:, inner] = picked[:, row_of, cols]
         return out
 
-    return traces
+    return traces, int(rows.max(initial=0)) + 1, int(cols.max(initial=0)) + 1
 
 
 def floor_index(n: int, x: float | Fraction) -> int:
@@ -145,13 +152,13 @@ def sample_process_values(group: str, n: int, grid_points: Sequence[GridPoint],
 
     Equal, value for value, to `process_value` at each point, so points on
     the axes and on the lines s = 1 and t = 1 give an exact 0.  The corner
-    reader and the centring are built once, and only the block up to the
-    tallest and widest corner is sampled.
+    reader and the centring are built once, and only the block that
+    `corner_traces` reads is sampled.
     """
     ps, qs = np.array([(floor_index(n, s), floor_index(n, t)) for s, t in grid_points],
                       dtype=np.intp).reshape(-1, 2).T
-    rows, columns = (max(1, int(x.max(initial=0))) for x in (ps, qs))
-    traces, centre = corner_traces(n, ps, qs), ps * qs / n
+    traces, rows, columns = corner_traces(n, ps, qs)
+    centre = ps * qs / n
 
     def values(stack: np.ndarray) -> np.ndarray:
         return traces(stack) - centre
@@ -474,9 +481,8 @@ def increment_fourth_moment_fit(group: str, n: int, replicas: int, master_seed: 
     cuts = np.array(corners, dtype=np.intp).reshape(-1, 4)
     p1, p2, q1, q2 = cuts.T
     centre = (p2 - p1) * (q2 - q1) / n
-    # T_{n,q} = q and T_{p,n} = p are exact: only the largest cut below n is sampled
-    inner = max(1, int(cuts[cuts < n].max(initial=0)))
-    traces = corner_traces(n, np.concatenate([p2, p2, p1, p1]), np.concatenate([q2, q1, q2, q1]))
+    traces, rows, columns = corner_traces(n, np.concatenate([p2, p2, p1, p1]),
+                                          np.concatenate([q2, q1, q2, q1]))
 
     def increments(stack: np.ndarray) -> np.ndarray:
         # `block_increment` at every block, in its order of operations
@@ -484,7 +490,7 @@ def increment_fourth_moment_fit(group: str, n: int, replicas: int, master_seed: 
         return t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3] - centre
 
     deltas = map_replicas(group, n, replicas, master_seed, increments, workers=workers,
-                          columns=inner, rows=inner)
+                          columns=columns, rows=rows)
     fourth = (deltas ** 4).mean(axis=0)
     ses = (deltas ** 4).std(axis=0, ddof=1) / math.sqrt(replicas)
     scale = np.array([float(n) ** 4 / (dp * dp * dq * dq) for (_, _, _, dp, dq) in blocks])

@@ -166,21 +166,10 @@ def haar_sample(group: str, n: int, seed, columns: int | None = None) -> np.ndar
     return _haar_stack(group, n, seed.master_seed, range(index, index + 1), columns)[0]
 
 
-def haar_unitary(n: int, seed, columns: int | None = None) -> np.ndarray:
-    """Leading `columns` (default all n) of one Haar n x n unitary for the SeedSpec."""
-    return haar_sample("unitary", n, seed, columns)
-
-
-def haar_orthogonal(n: int, seed, columns: int | None = None) -> np.ndarray:
-    """Leading `columns` (default all n) of one Haar n x n orthogonal for the SeedSpec."""
-    return haar_sample("orthogonal", n, seed, columns)
-
-
 def map_replicas(group: str, n: int, replicas: int, master_seed: int,
                  stack_fn: Callable[[np.ndarray], np.ndarray], workers: int = 1,
-                 start: int = 0, columns: int | None = None,
-                 rows: int | None = None) -> np.ndarray:
-    """Rows of replicas start .. start+replicas-1, one chunk of them per stack_fn call.
+                 columns: int | None = None, rows: int | None = None) -> np.ndarray:
+    """Rows of replicas 0 .. replicas-1, one chunk of them per stack_fn call.
 
     stack_fn maps the (k, rows, columns) stack of the leading `rows` x
     `columns` (defaults all n) of k consecutive replicas to their k rows, in
@@ -201,7 +190,7 @@ def map_replicas(group: str, n: int, replicas: int, master_seed: int,
     keep_sample_memory()
 
     def compute(lo: int) -> np.ndarray:
-        indices = range(start + lo, start + min(lo + step, replicas))
+        indices = range(lo, min(lo + step, replicas))
         return stack_fn(_haar_stack(group, n, master_seed, indices, columns, rows, solve))
 
     # BLAS runs on one thread for every worker count: OpenBLAS's threaded
@@ -219,9 +208,9 @@ def map_replicas(group: str, n: int, replicas: int, master_seed: int,
     return out
 
 
-def haar_batch(group: str, n: int, count: int, master_seed: int, start: int = 0) -> np.ndarray:
-    """(count, n, n) stack of replicas start .. start+count-1, equal to `haar_sample`'s."""
-    return map_replicas(group, n, count, master_seed, lambda z: z, start=start)
+def haar_batch(group: str, n: int, count: int, master_seed: int) -> np.ndarray:
+    """(count, n, n) stack of replicas 0 .. count-1, equal to `haar_sample`'s."""
+    return map_replicas(group, n, count, master_seed, lambda z: z)
 
 
 @functools.lru_cache(maxsize=1)

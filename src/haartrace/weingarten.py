@@ -251,12 +251,15 @@ def weingarten_orthogonal(n: int, key: Union[Permutation, CycleType]) -> Fractio
     return weingarten_table("orthogonal", n, sum(coset))[coset]
 
 
-def _joint_moment(group: str, i: Sequence[int], j: Sequence[int], n: int) -> Fraction:
-    """Sum of gram_inverse entries over the pairing pairs both tuples admit.
+def joint_moment(group: str, i: Sequence[int], j: Sequence[int], n: int) -> Fraction:
+    """Exact joint moment of 2k entries of a Haar matrix, at index tuples of length 2k.
 
-    A pairing is admissible for an index tuple when it pairs equal indices
-    only.  For the unitary group the unconjugated factors come first, so
-    perm_pairing(alpha) is admissible exactly when i_s = i_{k + alpha(s)}.
+    Unitary: E(U_{i1 j1} .. U_{ik jk} conj U_{i(k+1) j(k+1)} .. conj U_{i2k j2k}),
+    the k unconjugated factors first.  Orthogonal: E(O_{i1 j1} ... O_{i2k j2k}).
+    The moment sums gram_inverse entries over the pairing pairs both tuples
+    admit; a pairing is admissible for a tuple when it pairs equal indices
+    only.  For the unitary group perm_pairing(alpha) is admissible exactly
+    when i_s = i_{k + alpha(s)}, and the entry is W(n, beta alpha^-1).
     """
     if len(i) != len(j) or len(i) % 2 != 0:
         raise ValueError("index tuples must have equal even length")
@@ -271,18 +274,3 @@ def _joint_moment(group: str, i: Sequence[int], j: Sequence[int], n: int) -> Fra
                 if all(idx[x - 1] == idx[y - 1] for x, y in p.pairs())]
 
     return Fraction(sum(inv[a][b] for a in admissible(i) for b in admissible(j)), denom)
-
-
-def joint_moment_unitary(i: Sequence[int], j: Sequence[int], n: int) -> Fraction:
-    """Exact E(U_{i1 j1} .. U_{ik jk} conj U_{i1' j1'} .. conj U_{ik' jk'}).
-
-    Index tuples have length 2k and list the k unconjugated factors first.
-    The sum runs over permutation pairs whose delta constraints the tuples
-    satisfy, weighted by W(n, beta alpha^{-1}).
-    """
-    return _joint_moment("unitary", i, j, n)
-
-
-def joint_moment_orthogonal(i: Sequence[int], j: Sequence[int], n: int) -> Fraction:
-    """Exact E(O_{i1 j1} ... O_{i2k j2k}) as a sum over pairing pairs."""
-    return _joint_moment("orthogonal", i, j, n)

@@ -41,16 +41,14 @@ from haartrace.empirics import (
 from haartrace.sampling import (
     SeedSpec,
     haar_batch,
-    haar_orthogonal,
-    haar_unitary,
+    haar_sample,
     orthonormality_residual,
 )
 from haartrace.weingarten import (
     gram,
     gram_inverse,
     is_inverse,
-    joint_moment_orthogonal,
-    joint_moment_unitary,
+    joint_moment,
     weingarten_orthogonal,
     weingarten_unitary,
 )
@@ -87,14 +85,14 @@ def bridge_values_orthogonal():
 
 def test_criterion_01_exact_moment_identities(announce):
     for n in range(2, 9):
-        assert joint_moment_unitary((1, 1), (1, 1), n) == Fraction(1, n)
-        assert joint_moment_unitary((1, 1, 1, 1), (1, 1, 1, 1), n) == Fraction(2, n * (n + 1))
-        assert joint_moment_unitary((1, 1, 1, 1), (1, 2, 1, 2), n) == Fraction(1, n * (n + 1))
-        assert joint_moment_unitary((1, 2, 1, 2), (1, 2, 1, 2), n) == Fraction(1, n * n - 1)
+        assert joint_moment("unitary", (1, 1), (1, 1), n) == Fraction(1, n)
+        assert joint_moment("unitary", (1, 1, 1, 1), (1, 1, 1, 1), n) == Fraction(2, n * (n + 1))
+        assert joint_moment("unitary", (1, 1, 1, 1), (1, 2, 1, 2), n) == Fraction(1, n * (n + 1))
+        assert joint_moment("unitary", (1, 2, 1, 2), (1, 2, 1, 2), n) == Fraction(1, n * n - 1)
     for n in range(4, 9):
-        assert joint_moment_orthogonal((1, 1, 1, 1), (1, 1, 1, 1), n) == Fraction(3, n * (n + 2))
-        assert joint_moment_orthogonal((1, 1, 1, 1), (1, 2, 1, 2), n) == Fraction(1, n * (n + 2))
-        assert joint_moment_orthogonal((1, 2, 1, 2), (1, 2, 1, 2), n) == \
+        assert joint_moment("orthogonal", (1, 1, 1, 1), (1, 1, 1, 1), n) == Fraction(3, n * (n + 2))
+        assert joint_moment("orthogonal", (1, 1, 1, 1), (1, 2, 1, 2), n) == Fraction(1, n * (n + 2))
+        assert joint_moment("orthogonal", (1, 2, 1, 2), (1, 2, 1, 2), n) == \
             Fraction(n + 1, n * (n + 2) * (n - 1))
     announce("ACCEPTANCE 01 PASS exact entry-moment identities, n=2..8 (U), 4..8 (O), exact")
 
@@ -374,8 +372,8 @@ def test_criterion_11_sampler_correctness(announce):
     worst = 0.0
     for n in (64, 256, 512):
         worst = max(worst,
-                    orthonormality_residual(haar_unitary(n, SeedSpec(1102, n))),
-                    orthonormality_residual(haar_orthogonal(n, SeedSpec(1102, n))))
+                    orthonormality_residual(haar_sample("unitary", n, SeedSpec(1102, n))),
+                    orthonormality_residual(haar_sample("orthogonal", n, SeedSpec(1102, n))))
     assert worst <= 1e-12
     announce(f"ACCEPTANCE 11 PASS |U11|^2 ~ Beta(1, n-1) KS p={ks.pvalue:.3f} at "
              f"n=8, N=1e5; orthonormality residual <= {worst:.1e} up to n=512")

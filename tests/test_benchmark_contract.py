@@ -1,18 +1,22 @@
 """The package still offers what the benchmark harness in `perfbench/` relies on.
 
 The harness is loaded by path and only read: its tracer wraps package
-functions by (module, attribute), and its `exact_verify` check compares the
-per-identity case counts of `verify --scope default` with a frozen table.
+functions by (module, attribute), its warm-up and output checks call the
+package by name, and its `exact_verify` check compares the per-identity case
+counts of `verify --scope default` with a frozen table.
 """
 import importlib
+import math
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
+from haartrace import cumulants as cm
 from haartrace import weingarten as wg
 from haartrace.cli import run_verification
+from haartrace.sampling import SeedSpec, haar_sample
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,6 +38,24 @@ def _traced_sites():
 @pytest.mark.parametrize("module, attribute", _traced_sites())
 def test_traced_call_sites_exist(module, attribute):
     assert callable(getattr(importlib.import_module(module), attribute))
+
+
+@pytest.mark.parametrize("name", _load("workloads").WORKLOADS)
+def test_untraced_benchmark_calls_run(name):
+    # `probe.py` and `run.py` sample one warm-up replica, and `run.py` takes
+    # each simulate command's exact covariances from `workloads.reference`
+    workloads = _load("workloads")
+    wl = workloads.build(name, seed=5, tiny=True)
+    if wl.warmup:
+        assert haar_sample(*wl.warmup, SeedSpec(5, 0)).shape == (wl.warmup[1],) * 2
+    for cmd in wl.commands:
+        ref = workloads.reference(cmd, cm)
+        if ref is None:
+            continue
+        dims = [(math.floor(cmd.n * s), math.floor(cmd.n * t)) for s, t in cmd.points()]
+        exact = {(a, b): cm.process_covariance(cmd.group, cmd.n, dims[a], dims[b])
+                 for a in range(len(dims)) for b in range(a, len(dims))}
+        assert ref == {key: workloads._frac_str(x) for key, x in exact.items()}
 
 
 def _checks(scope):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from haartrace import empirics
+from haartrace import cli, empirics
 from haartrace.cli import RunConfig, _write_report, main, parse_grid, run_verification
 
 
@@ -340,6 +340,20 @@ def test_simulate_rejects_bad_grid_before_sampling(grid, named, monkeypatch, cap
     assert main(["simulate", "--n", "20", "--replicas", "100", "--grid", grid]) == 2
     err = capsys.readouterr().err
     assert "--grid" in err and named in err
+
+
+@pytest.mark.parametrize("where", ["missing/x.json", "."], ids=["no-folder", "directory"])
+def test_bad_output_path_is_usage_error_before_any_work(where, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(empirics, "map_replicas", _no_sampling)
+    monkeypatch.setattr(cli, "run_verification", _no_sampling)
+    path = str(tmp_path / where)
+    for argv in (["simulate", "--n", "20", "--replicas", "100"], ["verify"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", path])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert repr(path) in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_rejects_zero_size_before_sampling(monkeypatch, capsys):

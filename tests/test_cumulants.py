@@ -23,15 +23,12 @@ from haartrace.cumulants import (
     classical_cumulant,
     covariance_closed,
     cumulant_via_moments,
-    diagonal_trace,
     fourth_central_moment,
     limit_covariance,
     mixed_trace_moment,
     projector_trace,
-    relative_cumulant_orthogonal,
-    relative_cumulant_unitary,
+    relative_cumulant,
     trace_cumulant,
-    trace_cumulant_diagonal,
     variance_closed,
     variance_closed_orthogonal,
 )
@@ -57,14 +54,6 @@ def test_projector_trace_examples():
     assert projector_trace(swap, (4, 6, 3)) == 4 * 3
     with pytest.raises(DimensionError):
         projector_trace(ident, (1, 2))
-
-
-def test_diagonal_trace_generalizes_projector_trace():
-    n = 6
-    for perm in all_permutations(3):
-        dims = (2, 5, 3)
-        diags = [[1] * d + [0] * (n - d) for d in dims]
-        assert diagonal_trace(perm, diags) == projector_trace(perm, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +108,11 @@ def test_relative_cumulants_order_two_values():
     for n in (2, 3, 6):
         ident = Permutation.identity(2)
         swap = Permutation.from_cycles(2, [(1, 2)])
-        assert relative_cumulant_unitary(swap, one_partition(2), n) == \
+        assert relative_cumulant("unitary", swap, one_partition(2), n) == \
             Fraction(-1, n * (n * n - 1))
-        assert relative_cumulant_unitary(ident, one_partition(2), n) == \
+        assert relative_cumulant("unitary", ident, one_partition(2), n) == \
             Fraction(1, n * n * (n * n - 1))
-        assert relative_cumulant_unitary(ident, zero_partition(2), n) == Fraction(1, n * n)
+        assert relative_cumulant("unitary", ident, zero_partition(2), n) == Fraction(1, n * n)
 
 
 def test_relative_cumulant_at_cycle_partition_is_weingarten_product():
@@ -133,13 +122,13 @@ def test_relative_cumulant_at_cycle_partition_is_weingarten_product():
         expected = Fraction(1)
         for cyc in pi.cycles():
             expected *= weingarten_unitary(n, (len(cyc),))
-        assert relative_cumulant_unitary(pi, pipart, n) == expected
+        assert relative_cumulant("unitary", pi, pipart, n) == expected
 
 
 def test_relative_cumulant_order_violation():
     swap = Permutation.from_cycles(2, [(1, 2)])
     with pytest.raises(OrderViolationError):
-        relative_cumulant_unitary(swap, zero_partition(2), 5)
+        relative_cumulant("unitary", swap, zero_partition(2), 5)
 
 
 def _restricted_weingarten_product(group, pi, c, n):
@@ -156,14 +145,13 @@ def _restricted_weingarten_product(group, pi, c, n):
 def test_relative_cumulants_invert_back_to_weingarten_products(group, n):
     # sum of C_{pi, A} over the interval [0_pi, C] must reproduce the
     # block product of Weingarten values (the defining Mobius round trip)
-    rel = relative_cumulant_unitary if group == "unitary" else relative_cumulant_orthogonal
     for pi in all_permutations(3):
         pipart = cycle_partition(pi)
         for c in enumerate_partitions(3):
             if not refines(pipart, c):
                 continue
             total = sum(
-                (rel(pi, a, n) for a in enumerate_partitions(3)
+                (relative_cumulant(group, pi, a, n) for a in enumerate_partitions(3)
                  if refines(pipart, a) and refines(a, c)),
                 Fraction(0),
             )
@@ -173,9 +161,9 @@ def test_relative_cumulants_invert_back_to_weingarten_products(group, n):
 def test_relative_cumulant_orthogonal_small_values():
     for n in (4, 7):
         ident1 = Permutation.identity(1)
-        assert relative_cumulant_orthogonal(ident1, one_partition(1), n) == Fraction(1, n)
+        assert relative_cumulant("orthogonal", ident1, one_partition(1), n) == Fraction(1, n)
         ident2 = Permutation.identity(2)
-        assert relative_cumulant_orthogonal(ident2, zero_partition(2), n) == Fraction(1, n * n)
+        assert relative_cumulant("orthogonal", ident2, zero_partition(2), n) == Fraction(1, n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +318,8 @@ def test_moment_oracle_shares_no_code_with_closed_route(monkeypatch):
     def closed_route_called(*args, **kwargs):
         raise AssertionError("the moment oracle reached the closed route")
 
-    for name in ("_coefficient_table", "_closed_cumulant", "_admissible_monomials",
-                 "_relative_cumulant", "_cycle_set_cumulant", "trace_cumulant",
+    for name in ("_coefficient_table", "_admissible_monomials",
+                 "relative_cumulant", "_cycle_set_cumulant", "trace_cumulant",
                  "trace_cumulant_unitary", "trace_cumulant_orthogonal", "_sigma_triple",
                  "projector_trace", "weingarten_unitary", "weingarten_orthogonal"):
         monkeypatch.setattr(cm, name, closed_route_called)
@@ -396,7 +384,7 @@ def _filtered_pair_coefficient(group, n, alpha, beta):
         pis = [cm._sigma_triple(r, alpha.images, beta.images, eps)
                for eps in itertools.product((1, -1), repeat=r)]
         weight = Fraction(2 ** r, 2 ** (alpha.num_cycles + beta.num_cycles))
-    return weight * sum((cm._relative_cumulant(group, pi, a, n)
+    return weight * sum((cm.relative_cumulant(group, pi, a, n)
                          for pi in pis for a in enumerate_partitions(r)
                          if refines(cycle_partition(pi), a) and join(a, ab) == one_partition(r)),
                         Fraction(0))
@@ -485,7 +473,7 @@ def test_fourth_central_moment_beta_route_consistent_with_kappa4_route():
 
 def test_fourth_central_moment_exact_joint_moment_oracle():
     # independent exact route: expand E T^m through entry moments
-    from haartrace.weingarten import joint_moment_unitary
+    from haartrace.weingarten import joint_moment
     p = q = 2
     n = 4
     cells = [(i, j) for i in range(1, p + 1) for j in range(1, q + 1)]
@@ -495,7 +483,7 @@ def test_fourth_central_moment_exact_joint_moment_oracle():
         for combo in itertools.product(cells, repeat=m):
             rows = tuple(c[0] for c in combo)
             cols = tuple(c[1] for c in combo)
-            total += joint_moment_unitary(rows + rows, cols + cols, n)
+            total += joint_moment("unitary", rows + rows, cols + cols, n)
         raw.append(total)
     mu = raw[1]
     central4 = raw[4] - 4 * mu * raw[3] + 6 * mu**2 * raw[2] - 3 * mu**4
@@ -512,63 +500,3 @@ def test_fourth_central_moment_monte_carlo():
     m4 = (centered ** 4).mean()
     se = (centered ** 4).std(ddof=1) / np.sqrt(reps)
     assert abs(m4 - float(fourth_central_moment(2, 2, 4))) < 4 * se
-
-
-# ---------------------------------------------------------------------------
-# multilinearity through the diagonal generalization
-# ---------------------------------------------------------------------------
-
-def indicator(lo, hi, n):
-    return tuple(1 if lo <= x <= hi else 0 for x in range(1, n + 1))
-
-
-@pytest.mark.parametrize("group,r", [("unitary", 2), ("unitary", 3), ("orthogonal", 2)])
-def test_trace_cumulant_additive_in_disjoint_row_ranges(group, r):
-    n, p_cut, p_full, q = 5, 2, 4, 3
-    rows_full = [indicator(1, p_full, n)] + [indicator(1, 2, n)] * (r - 1)
-    rows_a = [indicator(1, p_cut, n)] + [indicator(1, 2, n)] * (r - 1)
-    rows_b = [indicator(p_cut + 1, p_full, n)] + [indicator(1, 2, n)] * (r - 1)
-    cols = [indicator(1, q, n)] * r
-    whole = trace_cumulant_diagonal(group, rows_full, cols, n)
-    parts = (trace_cumulant_diagonal(group, rows_a, cols, n)
-             + trace_cumulant_diagonal(group, rows_b, cols, n))
-    assert whole == parts
-
-
-def test_trace_cumulant_diagonal_matches_projector_route():
-    n = 5
-    for group, r in (("unitary", 2), ("orthogonal", 2), ("unitary", 3)):
-        dims = ((2, 3), (4, 1), (3, 3))[:r]
-        rows = [indicator(1, p, n) for p, _ in dims]
-        cols = [indicator(1, q, n) for _, q in dims]
-        fam = ProjectorFamily(n, dims)
-        assert trace_cumulant_diagonal(group, rows, cols, n) == \
-            trace_cumulant(CumulantRequest(group, r, fam))
-
-
-@pytest.mark.parametrize("group,r", [("unitary", 2), ("unitary", 3), ("orthogonal", 2),
-                                     ("orthogonal", 3)])
-def test_trace_cumulant_diagonal_scales_with_fractional_entries(group, r):
-    n = 4
-    rows = [(Fraction(1, 2), 2, Fraction(-1, 3), 0), (1, Fraction(5, 4), 1, 0),
-            (3, 0, Fraction(2, 7), 1)][:r]
-    cols = [(1, Fraction(3, 2), 0, 1), (Fraction(-2, 5), 1, 1, 2), (0, 1, Fraction(1, 3), 1)][:r]
-    kappa = trace_cumulant_diagonal(group, rows, cols, n)
-    assert kappa != 0
-    c = Fraction(7, 3)
-    scaled_row = [tuple(c * x for x in rows[0])] + rows[1:]
-    scaled_col = cols[:-1] + [tuple(c * x for x in cols[-1])]
-    assert trace_cumulant_diagonal(group, scaled_row, cols, n) == c * kappa
-    assert trace_cumulant_diagonal(group, rows, scaled_col, n) == c * kappa
-
-
-def test_trace_cumulant_diagonal_guards():
-    n = 6
-    ones = [1] * n
-    with pytest.raises(SizeLimitError):
-        trace_cumulant_diagonal("unitary", [ones] * 5, [ones] * 5, n)
-    with pytest.raises(SizeLimitError):
-        trace_cumulant_diagonal("orthogonal", [ones] * 4, [ones] * 4, n)
-    for group in ("unitary", "orthogonal"):
-        with pytest.raises(DimensionError):
-            trace_cumulant_diagonal(group, [ones] * 2, [ones] * 3, n)

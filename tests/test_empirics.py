@@ -25,7 +25,7 @@ from haartrace.errors import (
     InsufficientReplicasError,
     OrderViolationError,
 )
-from haartrace.sampling import SeedSpec, haar_orthogonal, haar_unitary, map_replicas
+from haartrace.sampling import SeedSpec, haar_sample, map_replicas
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +48,8 @@ def test_trace_field_rotation():
 
 
 def test_trace_field_haar_unit_rows():
-    for group_sample in (haar_unitary(80, SeedSpec(5)), haar_orthogonal(80, SeedSpec(5))):
-        f = trace_field(group_sample)
+    for group in ("unitary", "orthogonal"):
+        f = trace_field(haar_sample(group, 80, SeedSpec(5)))
         assert abs(f.corner(80, 80) - 80) < 1e-10
         assert np.all(np.diff(f.cumulative, axis=0) >= -1e-14)
         assert np.all(np.diff(f.cumulative, axis=1) >= -1e-14)
@@ -73,18 +73,21 @@ def test_corner_traces_read_trace_field_inside_and_min_on_the_sides(dtype, k, n,
     ps = np.array([5, 1, n - 1, 5, 2, 5, 0, 0, n, 3, n, 4])
     qs = np.array([3, 1, q - 1, q, 3, 3, 4, 0, 2, n, n, q])
     inside = (ps % n > 0) & (qs % n > 0)
-    traces = corner_traces(n, ps, qs)(stack)
+    read, rows, columns = corner_traces(n, ps, qs)
+    traces = read(stack)
     assert traces.shape == (k, len(ps)) and traces.dtype == np.float64
     field = trace_field(stack).cumulative
     assert np.array_equal(traces[:, inside], field[:, ps[inside], qs[inside]])
     assert np.array_equal(traces[:, ~inside], np.tile(np.minimum(ps, qs)[~inside], (k, 1)))
-    # the leading rows up to the tallest corner inside, as the pipelines sample
-    top = ps[inside].max()
-    assert np.array_equal(corner_traces(n, ps, qs)(stack[:, :top].copy()), traces)
+    # the leading block up to the tallest and widest corner inside, as the pipelines sample
+    assert (rows, columns) == (ps[inside].max(), qs[inside].max())
+    assert np.array_equal(read(stack[:, :rows, :columns].copy()), traces)
 
 
 def test_corner_traces_without_a_corner_inside():
-    traces = corner_traces(8, [0, 8, 3, 8], [5, 2, 8, 8])(np.ones((2, 8, 8)))
+    read, rows, columns = corner_traces(8, [0, 8, 3, 8], [5, 2, 8, 8])
+    assert (rows, columns) == (1, 1)
+    traces = read(np.ones((2, 1, 1)))
     assert np.array_equal(traces, [[0.0, 2.0, 3.0, 8.0]] * 2)
 
 
@@ -102,7 +105,7 @@ def test_replica_pipelines_build_no_trace_field(monkeypatch):
 
 
 def test_process_value_boundaries():
-    f = trace_field(haar_unitary(40, SeedSpec(8)))
+    f = trace_field(haar_sample("unitary", 40, SeedSpec(8)))
     assert process_value(f, 0.0, 0.63) == 0.0
     assert process_value(f, 0.63, 0.0) == 0.0
     assert abs(process_value(f, 1.0, 1.0)) < 1e-10
@@ -112,14 +115,14 @@ def test_process_value_boundaries():
 
 
 def test_process_value_floor_convention():
-    f = trace_field(haar_unitary(10, SeedSpec(9)))
+    f = trace_field(haar_sample("unitary", 10, SeedSpec(9)))
     # right-continuous steps: s in [3/10, 4/10) uses p = 3
     assert process_value(f, 0.3, 0.5) == process_value(f, 0.39, 0.5)
     assert process_value(f, 0.3, 0.5) != process_value(f, 0.4, 0.5)
 
 
 def test_block_increment_examples():
-    f = trace_field(haar_unitary(30, SeedSpec(10)))
+    f = trace_field(haar_sample("unitary", 30, SeedSpec(10)))
     assert block_increment(f, 0.4, 0.4, 0.1, 0.9) == 0.0
     assert abs(block_increment(f, 0.0, 1.0, 0.0, 1.0)) < 1e-10
     # additivity: stacked blocks sum to the union block
@@ -132,7 +135,7 @@ def test_block_increment_examples():
 
 
 def test_uniform_lln_decreases_on_matched_seeds():
-    devs = [uniform_lln_deviation(trace_field(haar_unitary(n, SeedSpec(777, 0))))
+    devs = [uniform_lln_deviation(trace_field(haar_sample("unitary", n, SeedSpec(777, 0))))
             for n in (50, 100, 200, 400)]
     assert devs[0] > devs[1] > devs[2] > devs[3]
     assert devs[-1] < 0.06
@@ -448,6 +451,23 @@ def test_increment_fit_samples_only_the_inner_cuts(monkeypatch):
     increment_fourth_moment_fit("unitary", 64, 4, master_seed=1)
     increment_fourth_moment_fit("orthogonal", 20, 4, master_seed=1, levels=(2, 1))
     assert shapes == [(56, 56), (15, 15)]
+
+
+def test_process_values_sample_only_the_inner_corners(monkeypatch):
+    # T on a side of 0 or n is exact, so an axis holding 0 or 1 adds no sampled row or column
+    from haartrace import empirics
+    shapes, engine = [], empirics.map_replicas
+
+    def recording(*args, **kwargs):
+        shapes.append((kwargs["rows"], kwargs["columns"]))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(empirics, "map_replicas", recording)
+    axis = (0.25, 0.5, 1)
+    sample_process_values("unitary", 40, [(s, t) for s in axis for t in axis], 4, 1)
+    sample_process_values("orthogonal", 40, [(1, 0.5), (0.75, 0.25), (0, 0.9)], 4, 1)
+    sample_process_values("unitary", 40, [(1, 1), (0, 0.5)], 4, 1)
+    assert shapes == [(20, 20), (30, 10), (1, 1)]
 
 
 @pytest.mark.parametrize("replicas", [0, 1])

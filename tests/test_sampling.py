@@ -20,9 +20,7 @@ from haartrace.sampling import (
     _openblas_thread_calls,
     _trsm_calls,
     haar_batch,
-    haar_orthogonal,
     haar_sample,
-    haar_unitary,
     orthonormality_residual,
 )
 
@@ -33,20 +31,21 @@ def test_seedspec_validation():
     with pytest.raises(ValueError):
         SeedSpec(0, -2)
     with pytest.raises(ValueError):
-        haar_unitary(0, SeedSpec(1))
+        haar_sample("unitary", 0, SeedSpec(1))
 
 
 def test_determinism_bitwise():
-    for fn in (haar_unitary, haar_orthogonal):
-        a = fn(24, SeedSpec(123, 5))
-        b = fn(24, SeedSpec(123, 5))
+    for group in ("unitary", "orthogonal"):
+        a = haar_sample(group, 24, SeedSpec(123, 5))
+        b = haar_sample(group, 24, SeedSpec(123, 5))
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, fn(24, SeedSpec(123, 6)))
-        assert not np.array_equal(a, fn(24, SeedSpec(124, 5)))
+        assert not np.array_equal(a, haar_sample(group, 24, SeedSpec(123, 6)))
+        assert not np.array_equal(a, haar_sample(group, 24, SeedSpec(124, 5)))
 
 
 def test_int_seed_is_replica_zero():
-    assert np.array_equal(haar_unitary(8, 77), haar_unitary(8, SeedSpec(77, 0)))
+    assert np.array_equal(haar_sample("unitary", 8, 77),
+                          haar_sample("unitary", 8, SeedSpec(77, 0)))
 
 
 def _chunks_of(monkeypatch, k, n, columns, group):
@@ -57,13 +56,13 @@ def _chunks_of(monkeypatch, k, n, columns, group):
 
 def test_batch_equals_per_replica(monkeypatch):
     _chunks_of(monkeypatch, 7, 6, 6, "unitary")
-    batch = haar_batch("unitary", 6, 40, master_seed=9, start=2)
+    batch = haar_batch("unitary", 6, 40, master_seed=9)
     for i in range(40):
-        assert np.array_equal(batch[i], haar_unitary(6, SeedSpec(9, 2 + i)))
+        assert np.array_equal(batch[i], haar_sample("unitary", 6, SeedSpec(9, i)))
     _chunks_of(monkeypatch, 13, 6, 6, "orthogonal")
-    batch_o = haar_batch("orthogonal", 6, 40, master_seed=9, start=2)
+    batch_o = haar_batch("orthogonal", 6, 40, master_seed=9)
     for i in range(40):
-        assert np.array_equal(batch_o[i], haar_orthogonal(6, SeedSpec(9, 2 + i)))
+        assert np.array_equal(batch_o[i], haar_sample("orthogonal", 6, SeedSpec(9, i)))
 
 
 @pytest.mark.parametrize("group", ["unitary", "orthogonal"])
@@ -73,7 +72,7 @@ def test_engine_rows_are_distinct_per_replica_samples(monkeypatch, group, chunk,
     # 40 replicas split into chunks of 7 or 13 leave a short last chunk; a
     # replica drawn twice, skipped or taken from a neighbour's stream fails.
     # workers=0 runs in this thread, as workers=1 does
-    n, columns, replicas, master, start = 6, 4, 40, 21, 3
+    n, columns, replicas, master = 6, 4, 40, 21
     _chunks_of(monkeypatch, chunk, n, columns, group)
     sizes = []
 
@@ -82,13 +81,13 @@ def test_engine_rows_are_distinct_per_replica_samples(monkeypatch, group, chunk,
         return z.reshape(len(z), -1)
 
     rows = map_replicas(group, n, replicas, master, flatten,
-                        workers=workers, start=start, columns=columns)
+                        workers=workers, columns=columns)
     assert sorted(sizes, reverse=True) == [chunk] * (replicas // chunk) + (
         [replicas % chunk] if replicas % chunk else [])
     assert rows.shape == (replicas, n * columns)
     assert len(np.unique(rows, axis=0)) == replicas
     for i in range(replicas):
-        want = haar_sample(group, n, SeedSpec(master, start + i), columns=columns)
+        want = haar_sample(group, n, SeedSpec(master, i), columns=columns)
         assert np.array_equal(rows[i], want.ravel())
 
 
@@ -101,14 +100,14 @@ def test_orthonormality_residual_examples():
 
 @pytest.mark.parametrize("n", [8, 64, 256, 512])
 def test_haar_samples_are_orthonormal(n):
-    assert orthonormality_residual(haar_unitary(n, SeedSpec(11, n))) <= 1e-12
-    assert orthonormality_residual(haar_orthogonal(n, SeedSpec(11, n))) <= 1e-12
+    assert orthonormality_residual(haar_sample("unitary", n, SeedSpec(11, n))) <= 1e-12
+    assert orthonormality_residual(haar_sample("orthogonal", n, SeedSpec(11, n))) <= 1e-12
 
 
 def test_n_equals_one():
-    u = haar_unitary(1, SeedSpec(3, 0))
+    u = haar_sample("unitary", 1, SeedSpec(3, 0))
     assert abs(abs(u[0, 0]) - 1.0) < 1e-15
-    signs = {np.sign(haar_orthogonal(1, SeedSpec(3, i))[0, 0]) for i in range(32)}
+    signs = {np.sign(haar_sample("orthogonal", 1, SeedSpec(3, i))[0, 0]) for i in range(32)}
     assert signs == {-1.0, 1.0}
 
 
@@ -204,9 +203,9 @@ def test_truncated_sample_equals_full_columns(group, n):
 def test_columns_out_of_range():
     for cols in (0, 5):
         with pytest.raises(ValueError):
-            haar_unitary(4, SeedSpec(1), columns=cols)
+            haar_sample("unitary", 4, SeedSpec(1), columns=cols)
         with pytest.raises(ValueError):
-            haar_orthogonal(4, SeedSpec(1), columns=cols)
+            haar_sample("orthogonal", 4, SeedSpec(1), columns=cols)
 
 
 @pytest.mark.parametrize("group", ["unitary", "orthogonal"])
@@ -214,9 +213,12 @@ def test_sample_process_values_matches_pointwise_loop(group):
     n, reps, seed = 40, 12, 505
     pts = [(0.3, 0.45), (0.0, 0.7), (0.5, 0.5), (1.0, 0.2), (0.99, 0.61)]
     got = sample_process_values(group, n, pts, reps, seed, workers=2)
-    widest = max(int(n * t) for _, t in pts)
+    # only the corners strictly inside are sampled; zero columns pad the block
+    # out for T_{0,q}, which is exactly 0
+    widest = max(int(n * t) for s, t in pts if 0 < int(n * s) < n and 0 < int(n * t) < n)
     for i in range(reps):
-        truncated = trace_field(haar_sample(group, n, SeedSpec(seed, i), columns=widest))
+        block = haar_sample(group, n, SeedSpec(seed, i), columns=widest)
+        truncated = trace_field(np.pad(block, ((0, 0), (0, n - widest))))
         want = [process_value(truncated, s, t) for s, t in pts]
         assert got[i].tolist() == want  # the same sample gives the same floats
         full = trace_field(haar_sample(group, n, SeedSpec(seed, i)))
@@ -270,18 +272,18 @@ def test_replica_loop_reuses_its_freed_arrays(workers):
     def rows(z):
         return trace_field(z).cumulative[:, -1, -1:]
 
-    def faults(replicas, start):  # minor page faults of one call
+    def faults(replicas):  # minor page faults of one call
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        map_replicas("unitary", 200, replicas, 9, rows, workers=workers, start=start)
+        map_replicas("unitary", 200, replicas, 9, rows, workers=workers)
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-    faults(4, 0)  # grows the heaps once
+    faults(4)  # grows the heaps once
     # every call also pays the pool's start-up, so the per-replica rate is
     # the difference of two calls 40 replicas apart.  A replica allocates
     # about 3 MB: unmapped and faulted in again, that would be hundreds of
     # page faults per replica
-    short = faults(8, 4)
-    assert (faults(48, 12) - short) / 40 < 20
+    short = faults(8)
+    assert (faults(48) - short) / 40 < 20
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ def test_script_runs_and_prints_summary(script, args, summary):
     ("bridge_covariance.py", ["--n", "8", "--replicas", "50", "--axis", "0.5"], "got 50"),
     ("bridge_covariance.py", ["--n", "8", "--replicas", "200", "--workers", "0"], "got '0'"),
     ("bridge_covariance.py", ["--n", "0", "--replicas", "100"], "got 0"),
+    ("bridge_covariance.py", ["--n", "8", "--replicas", "200", "--axis", "0.5",
+                              "--master-seed", "-3"], "got -3"),
     ("spectral_limit.py", ["--n", "8", "--replicas", "1"], "got 1"),
     ("bridge_covariance.py", ["--n", "8", "--replicas", "200", "--axis", "0.5,1/0"], "'1/0'"),
     ("spectral_limit.py", ["--n", "8", "--replicas", "4", "--s", "1/0"], "'1/0'"),
@@ -49,6 +51,7 @@ def test_script_runs_and_prints_summary(script, args, summary):
     ("increment_tightness.py", ["--sizes", "16", "--replicas", "50", "--levels", "0"],
      "got (0,)"),
 ], ids=["bridge_covariance_replicas", "bridge_covariance_workers", "bridge_covariance_n",
+        "bridge_covariance_seed",
         "spectral_limit_replicas", "bridge_covariance_zero_denominator",
         "spectral_limit_zero_denominator", "increment_tightness_replicas",
         "increment_tightness_sizes", "increment_tightness_empty_levels",

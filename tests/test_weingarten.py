@@ -25,8 +25,7 @@ from haartrace.weingarten import (
     gram,
     gram_inverse,
     is_inverse,
-    joint_moment_orthogonal,
-    joint_moment_unitary,
+    joint_moment,
     pairings,
     sigma_of,
     t_of_perm,
@@ -408,24 +407,24 @@ def test_tables_are_memoized_views():
 
 def test_joint_moment_unitary_paper_values():
     for n in range(2, 9):
-        assert joint_moment_unitary((1, 1), (1, 1), n) == Fraction(1, n)
-        assert joint_moment_unitary((1, 1, 1, 1), (1, 1, 1, 1), n) == Fraction(2, n * (n + 1))
-        assert joint_moment_unitary((1, 1, 1, 1), (1, 2, 1, 2), n) == Fraction(1, n * (n + 1))
-        assert joint_moment_unitary((1, 2, 1, 2), (1, 2, 1, 2), n) == Fraction(1, n * n - 1)
+        assert joint_moment("unitary", (1, 1), (1, 1), n) == Fraction(1, n)
+        assert joint_moment("unitary", (1, 1, 1, 1), (1, 1, 1, 1), n) == Fraction(2, n * (n + 1))
+        assert joint_moment("unitary", (1, 1, 1, 1), (1, 2, 1, 2), n) == Fraction(1, n * (n + 1))
+        assert joint_moment("unitary", (1, 2, 1, 2), (1, 2, 1, 2), n) == Fraction(1, n * n - 1)
 
 
 def test_joint_moment_unitary_unbalanced_vanishes():
     # unmatched conjugation pattern has no admissible pairing
-    assert joint_moment_unitary((1, 2, 1, 1), (1, 1, 1, 1), 4) == 0
+    assert joint_moment("unitary", (1, 2, 1, 1), (1, 1, 1, 1), 4) == 0
 
 
 def test_joint_moment_orthogonal_paper_values():
     for n in range(4, 9):
-        assert joint_moment_orthogonal((1, 1, 1, 1), (1, 1, 1, 1), n) == Fraction(3, n * (n + 2))
-        assert joint_moment_orthogonal((1, 1, 1, 1), (1, 2, 1, 2), n) == Fraction(1, n * (n + 2))
-        assert joint_moment_orthogonal((1, 2, 1, 2), (1, 2, 1, 2), n) == \
+        assert joint_moment("orthogonal", (1, 1, 1, 1), (1, 1, 1, 1), n) == Fraction(3, n * (n + 2))
+        assert joint_moment("orthogonal", (1, 1, 1, 1), (1, 2, 1, 2), n) == Fraction(1, n * (n + 2))
+        assert joint_moment("orthogonal", (1, 2, 1, 2), (1, 2, 1, 2), n) == \
             Fraction(n + 1, n * (n + 2) * (n - 1))
-        assert joint_moment_orthogonal((1, 1, 1, 1), (1, 1, 1, 2), n) == 0
+        assert joint_moment("orthogonal", (1, 1, 1, 1), (1, 1, 1, 2), n) == 0
 
 
 def _joint_moment_unitary_reference(i, j, n):
@@ -469,25 +468,25 @@ def _joint_moment_orthogonal_reference(i, j, n):
 
 @pytest.mark.parametrize("group", ["unitary", "orthogonal"])
 def test_joint_moments_match_references_on_two_indices(group):
-    got_fn, ref_fn = {
-        "unitary": (joint_moment_unitary, _joint_moment_unitary_reference),
-        "orthogonal": (joint_moment_orthogonal, _joint_moment_orthogonal_reference),
+    ref_fn = {
+        "unitary": _joint_moment_unitary_reference,
+        "orthogonal": _joint_moment_orthogonal_reference,
     }[group]
     for k in (1, 2, 3):
         tuples = list(itertools.product((1, 2), repeat=2 * k))
         for n in (4, 5, 6):
             for i in tuples:
                 for j in tuples:
-                    assert got_fn(i, j, n) == ref_fn(i, j, n), (i, j, n)
+                    assert joint_moment(group, i, j, n) == ref_fn(i, j, n), (i, j, n)
 
 
 def test_joint_moment_index_validation():
     with pytest.raises(ValueError):
-        joint_moment_unitary((1, 1), (1, 9), 4)
+        joint_moment("unitary", (1, 1), (1, 9), 4)
     with pytest.raises(ValueError):
-        joint_moment_unitary((1, 1, 1), (1, 1, 1), 4)
+        joint_moment("unitary", (1, 1, 1), (1, 1, 1), 4)
     with pytest.raises(SizeLimitError):
-        joint_moment_orthogonal((1,) * 8, (1,) * 8, 12)
+        joint_moment("orthogonal", (1,) * 8, (1,) * 8, 12)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -498,6 +497,6 @@ def test_joint_moment_relabeling_invariance(seed):
     j = tuple(int(x) for x in rng.integers(1, n + 1, size=2 * k))
     rowmap = {a + 1: int(b) + 1 for a, b in enumerate(rng.permutation(n))}
     colmap = {a + 1: int(b) + 1 for a, b in enumerate(rng.permutation(n))}
-    base = joint_moment_unitary(i, j, n)
-    assert base == joint_moment_unitary(
+    base = joint_moment("unitary", i, j, n)
+    assert base == joint_moment("unitary", 
         tuple(rowmap[x] for x in i), tuple(colmap[x] for x in j), n)
