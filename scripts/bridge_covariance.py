@@ -9,10 +9,9 @@ acceptance run, with all knobs exposed.
 """
 import argparse
 import math
+import sys
 
 from haartrace.cli import RunConfig, cmd_simulate, parse_grid, worker_count
-from haartrace.empirics import check_covariance_replicas, floor_index
-from haartrace.sampling import SeedSpec
 
 
 def main() -> None:
@@ -25,17 +24,16 @@ def main() -> None:
     ap.add_argument("--workers", type=worker_count, default=1)
     args = ap.parse_args()
 
-    try:  # the checks `simulate` makes, before anything prints, the axis under its own flag
+    # `simulate` checks replicas, n and the seed before sampling; the axis is
+    # checked here first so that its errors name --axis, not --grid
+    try:
         parse_grid(args.grid, "--axis")
-        check_covariance_replicas(args.replicas)
-        floor_index(args.n, 0)
-        SeedSpec(args.master_seed)
+        print(f"sampling {args.replicas} replicas of {args.group} n={args.n} ...",
+              file=sys.stderr)
+        records = [r for r in cmd_simulate(RunConfig("simulate", **vars(args)))[0]
+                   if r["kind"] == "covariance"]
     except ValueError as exc:
         ap.error(str(exc))
-
-    print(f"sampling {args.replicas} replicas of {args.group} n={args.n} ...")
-    records = [r for r in cmd_simulate(RunConfig("simulate", **vars(args)))[0]
-               if r["kind"] == "covariance"]
 
     header = f"{'pair':>24}  {'estimate':>10}  {'se':>8}  {'exact':>10}  {'limit':>10}  {'z':>6}"
     print(header, "-" * len(header), sep="\n")

@@ -19,7 +19,6 @@ from .combinatorics import (
     enumerate_partitions,
     join,
     loop_count,
-    meet,
     mobius,
     one_partition,
     refines,
@@ -44,14 +43,12 @@ from .cumulants import (
     variance_closed_orthogonal,
 )
 from .empirics import (
-    BridgeSample,
     IncrementFit,
     KStats,
     KestenMcKay,
     SpectralHistogram,
     TraceField,
     block_increment,
-    bridge_reference,
     covariance_mc,
     increment_fourth_moment_fit,
     kesten_mckay,
@@ -60,7 +57,6 @@ from .empirics import (
     sample_process_values,
     spectral_compare,
     trace_field,
-    uniform_lln_deviation,
 )
 from .errors import (
     DimensionError,

@@ -109,16 +109,6 @@ def _require_same_ground(a: SetPartition, b: SetPartition) -> None:
         raise DimensionError(f"ground sizes differ: {a.ground_size} vs {b.ground_size}")
 
 
-def meet(a: SetPartition, b: SetPartition) -> SetPartition:
-    """Largest common refinement: nonempty pairwise block intersections."""
-    _require_same_ground(a, b)
-    ia, ib = a.block_index(), b.block_index()
-    cells: dict[tuple[int, int], list[int]] = {}
-    for x in range(1, a.ground_size + 1):
-        cells.setdefault((ia[x - 1], ib[x - 1]), []).append(x)
-    return SetPartition.of(a.ground_size, cells.values())
-
-
 def _connected_groups(size: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
     """Connected groups of [1..size] under the links, by union-find."""
     parent = list(range(size + 1))

@@ -12,14 +12,13 @@ full 2D prefix-sum grid (`TraceField`).  The centered process is
 with right-continuous steps, vanishing on the axes and at (1,1).  Across
 replicas we estimate cumulants with unbiased k-statistics, covariances of
 grid values, fourth moments of rectangular increments, and the corner
-product's spectrum, each with jackknife or plain standard errors.  Reference
-objects for the limits (tied-down bridge covariance, Kesten-McKay density)
-live here too.
+product's spectrum, each with jackknife or plain standard errors.  The
+spectrum's limit law (Kesten-McKay density) lives here too.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -27,8 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, InsufficientReplicasError, OrderViolationError
-from .cumulants import limit_covariance
-from .sampling import _as_seed, map_replicas
+from .sampling import map_replicas
 
 GridPoint = tuple[float, float]
 
@@ -132,14 +130,6 @@ def block_increment(f: TraceField, s: float, s2: float, t: float, t2: float) -> 
         return 0.0
     raw = (f.corner(p2, q2) - f.corner(p2, q1) - f.corner(p1, q2) + f.corner(p1, q1))
     return raw - (p2 - p1) * (q2 - q1) / f.n
-
-
-def uniform_lln_deviation(f: TraceField) -> float:
-    """max over the full grid of |T_{p,q}/n - pq/n^2|."""
-    n = f.n
-    rows, cols = f.cumulative.shape
-    target = np.outer(np.arange(rows), np.arange(cols)) / (n * n)
-    return float(np.max(np.abs(f.cumulative / n - target)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +313,7 @@ def kesten_mckay(s: float, t: float) -> KestenMcKay:
     the returned object is flagged accordingly.
     """
     if not (0.0 < s < 1.0 and 0.0 < t < 1.0):
-        raise ValueError("aspect ratios must lie strictly inside (0,1)")
+        raise ValueError(f"aspect ratios must lie strictly inside (0,1), got s={s}, t={t}")
     u_minus = (math.sqrt(s * (1 - t)) - math.sqrt((1 - s) * t)) ** 2
     u_plus = (math.sqrt(s * (1 - t)) + math.sqrt((1 - s) * t)) ** 2
     inv_const = 0.5 * (1 - math.sqrt(u_minus * u_plus)
@@ -334,13 +324,10 @@ def kesten_mckay(s: float, t: float) -> KestenMcKay:
 
 @dataclass(frozen=True)
 class SpectralHistogram:
-    """Pooled eigenvalue histogram of the corner product vs the limit law."""
+    """Pooled eigenvalue histogram of the p x q corner product vs the limit law."""
 
-    group: str
-    n: int
-    s: float
-    t: float
-    replicas: int
+    p: int
+    q: int
     bin_edges: np.ndarray
     empirical_mass: np.ndarray
     reference_mass: np.ndarray
@@ -348,7 +335,6 @@ class SpectralHistogram:
     mean_eigenvalue: float
     mean_se: float
     warnings: tuple[str, ...]
-    metadata: dict = field(default_factory=dict)
 
 
 def spectral_compare(n: int, s: float, t: float, replicas: int, master_seed: int,
@@ -369,7 +355,8 @@ def spectral_compare(n: int, s: float, t: float, replicas: int, master_seed: int
     p, q = floor_index(n, s), floor_index(n, t)
     s, t = float(s), float(t)
     if p == 0 or q == 0:
-        raise ValueError("corner must be nondegenerate: floor(ns), floor(nt) >= 1")
+        raise ValueError(f"corner must be nondegenerate: floor(ns), floor(nt) >= 1, "
+                         f"got floor(ns) = {p}, floor(nt) = {q}")
     warnings = []
     if not (p <= q and p + q <= n):
         warnings.append("jacobi-regime violated: expect boundary atoms")
@@ -389,55 +376,17 @@ def spectral_compare(n: int, s: float, t: float, replicas: int, master_seed: int
     ref_mass = np.array([law.mass(a, b) for a, b in zip(edges[:-1], edges[1:])])
     means = eigs.mean(axis=1)
     return SpectralHistogram(
-        group=group, n=n, s=s, t=t, replicas=replicas,
-        bin_edges=edges, empirical_mass=emp_mass, reference_mass=ref_mass,
+        p=p, q=q, bin_edges=edges, empirical_mass=emp_mass, reference_mass=ref_mass,
         l1_distance=float(np.abs(emp_mass - ref_mass).sum()),
         mean_eigenvalue=float(means.mean()),
         mean_se=float(means.std(ddof=1) / math.sqrt(replicas)),
         warnings=tuple(warnings),
-        metadata={"bins": bins, "p": p, "q": q, "master_seed": master_seed},
     )
 
 
 # ---------------------------------------------------------------------------
-# Synthetic bridge reference and increment fourth moments
+# Increment fourth moments
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BridgeSample:
-    """Gaussian draws with the limiting tied-down bridge covariance."""
-
-    grid_points: tuple[GridPoint, ...]
-    beta: int
-    values: np.ndarray  # (count, G)
-    ridge_applied: bool
-
-
-def bridge_reference(grid_points: Sequence[GridPoint], beta: int, seed,
-                     count: int = 1) -> BridgeSample:
-    """Sample the limiting Gaussian field on a grid via a PSD square root.
-
-    A numerically indefinite covariance (possible for near-degenerate grids)
-    is regularized once by a 1e-12 ridge and reported on the result.
-    """
-    pts = tuple(grid_points)
-    g = len(pts)
-    cov = np.array([
-        [limit_covariance(s1, t1, s2, t2, beta) for (s2, t2) in pts]
-        for (s1, t1) in pts
-    ])
-    ridge_applied = False
-    w, vecs = np.linalg.eigh(cov)
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(w))) if g else 1.0)
-    if w.min() < -tol:
-        ridge_applied = True
-        w, vecs = np.linalg.eigh(cov + 1e-12 * np.eye(g))
-        if w.min() < -tol:
-            raise ArithmeticError("bridge covariance is not positive semidefinite")
-    root = vecs * np.sqrt(np.clip(w, 0.0, None))
-    z = _as_seed(seed).rng().standard_normal((count, g))
-    return BridgeSample(pts, beta, z @ root.T, ridge_applied)
-
 
 @dataclass(frozen=True)
 class IncrementFit:

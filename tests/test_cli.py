@@ -174,11 +174,25 @@ def test_verify_quick_passes(tmp_path):
     assert all(r["status"] == "pass" for r in body_records(text))
 
 
-def test_verify_inject_error_fails_with_named_identity(tmp_path):
-    code, text = run_cli(tmp_path, "verify", "--scope", "quick", "--inject-error")
+def _off_at_id2_n4(monkeypatch):
+    """Perturb one looked-up Weingarten value, Wg_U(n=4, id2), by 1e-9; no cache changes."""
+    from haartrace import weingarten as wg
+    exact = wg.weingarten_unitary
+
+    def off(n, sigma):
+        value = exact(n, sigma)
+        return value + Fraction(1, 10**9) if (n, sigma) == (4, (1, 1)) else value
+
+    monkeypatch.setattr(wg, "weingarten_unitary", off)
+
+
+def test_verify_inject_error_fails_with_named_identity(tmp_path, monkeypatch):
+    _off_at_id2_n4(monkeypatch)
+    code, text = run_cli(tmp_path, "verify", "--scope", "quick")
     assert code == 1
-    failing = [r["identity"] for r in body_records(text) if r["status"] == "FAIL"]
-    assert "weingarten-closed-forms" in failing
+    failing = [r for r in body_records(text) if r["status"] == "FAIL"]
+    assert [(r["identity"], r["detail"]) for r in failing] == [
+        ("weingarten-closed-forms", "unitary id2 at n=4: 200000003/3000000000 != 1/15")]
 
 
 def test_verify_tallies_every_failing_case(monkeypatch):
@@ -198,9 +212,11 @@ def test_verify_tallies_every_failing_case(monkeypatch):
 
 
 def test_verification_is_hermetic_after_injection():
-    ok, _ = run_verification("quick", inject_error=True)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _off_at_id2_n4(monkeypatch)
+        ok, _ = run_verification("quick")
     assert not ok
-    ok2, _ = run_verification("quick", inject_error=False)
+    ok2, _ = run_verification("quick")
     assert ok2
 
 
@@ -327,6 +343,17 @@ def test_spectra_floors_decimal_aspect_ratios_exactly(tmp_path):
     assert json.loads(text)["meta"]["config"]["s"] == 0.29
 
 
+def test_spectra_expected_mean_is_the_finite_n_value(tmp_path):
+    # E[T_{p,q}] / p = q / n with q = floor(n t): 5/10 here, not t = 0.55
+    code, text = run_cli(tmp_path, "spectra", "--n", "10", "--s", "0.3", "--t", "0.55",
+                         "--replicas", "4000")
+    assert code == 0
+    summary = body_records(text)[0]
+    assert (summary["q"], summary["expected_mean"]) == (5, 0.5)
+    mean, se = summary["mean_eigenvalue"], summary["mean_se"]
+    assert abs(mean - 0.5) <= 4 * se < abs(mean - 0.55)
+
+
 def _no_sampling(*args, **kwargs):
     raise AssertionError("sampled before the input was checked")
 
@@ -388,6 +415,16 @@ def test_spectra_rejects_zero_denominator(s, t, flag, monkeypatch, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "'1/0'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("s, named", [("2", "inside (0,1), got s=2.0, t=0.5"),
+                                      ("0.05", "got floor(ns) = 0, floor(nt) = 5")],
+                         ids=["above-one", "empty-corner"])
+def test_spectra_bad_aspect_ratio_names_value(s, named, monkeypatch, capsys):
+    monkeypatch.setattr(empirics, "map_replicas", _no_sampling)
+    assert main(["spectra", "--n", "10", "--s", s, "--t", "0.5", "--replicas", "4"]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_spectra_rejects_single_replica(monkeypatch, capsys):

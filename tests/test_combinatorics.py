@@ -16,7 +16,6 @@ from haartrace.combinatorics import (
     gamma_pairing,
     join,
     loop_count,
-    meet,
     mobius,
     one_partition,
     perm_pairing,
@@ -115,29 +114,27 @@ def test_meet_join_examples():
     a = SetPartition.of(3, [(1, 2), (3,)])
     b = SetPartition.of(3, [(1,), (2, 3)])
     assert join(a, b) == one_partition(3)
-    assert meet(a, b) == zero_partition(3)
     for part in enumerate_partitions(4):
-        assert meet(part, one_partition(4)) == part
+        assert join(part, one_partition(4)) == one_partition(4)
         assert join(part, zero_partition(4)) == part
 
 
 def test_lattice_laws_all_pairs():
-    for k in (2, 3, 4, 5):
+    # join(a, b) is the finest partition that both a and b refine, found by brute force
+    for k in (1, 2, 3, 4, 5):
         parts = enumerate_partitions(k)
         for a in parts:
             for b in parts:
-                assert meet(a, b) == meet(b, a)
+                above = [c for c in parts if refines(a, c) and refines(b, c)]
+                (least,) = [c for c in above if all(refines(c, d) for d in above)]
+                assert join(a, b) == least
                 assert join(a, b) == join(b, a)
-                assert join(a, meet(a, b)) == a
-                assert meet(a, join(a, b)) == a
-                assert refines(meet(a, b), a)
                 assert refines(a, join(a, b))
 
 
 def test_lattice_associativity_exhaustive_k4():
     parts = enumerate_partitions(4)
     for a, b, c in itertools.product(parts, repeat=3):
-        assert meet(meet(a, b), c) == meet(a, meet(b, c))
         assert join(join(a, b), c) == join(a, join(b, c))
 
 
@@ -145,14 +142,13 @@ def test_lattice_associativity_exhaustive_k4():
 def test_lattice_laws_random_k6(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     a, b = random_partition(rng, 6), random_partition(rng, 6)
-    assert refines(meet(a, b), a)
     assert refines(a, join(a, b))
     assert join(a, b) == join(b, a)
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionError):
-        meet(zero_partition(3), zero_partition(4))
+        join(zero_partition(3), zero_partition(4))
     with pytest.raises(DimensionError):
         refines(one_partition(2), one_partition(3))
 

@@ -7,7 +7,6 @@ import pytest
 from haartrace.cumulants import variance_closed, variance_closed_orthogonal
 from haartrace.empirics import (
     block_increment,
-    bridge_reference,
     corner_traces,
     covariance_mc,
     floor_index,
@@ -18,7 +17,6 @@ from haartrace.empirics import (
     sample_process_values,
     spectral_compare,
     trace_field,
-    uniform_lln_deviation,
 )
 from haartrace.errors import (
     DimensionError,
@@ -134,9 +132,15 @@ def test_block_increment_examples():
         block_increment(f, 0.6, 0.4, 0.1, 0.2)
 
 
+def _uniform_lln_deviation(n, seed):
+    """max over the full grid of |T_{p,q}/n - pq/n^2| for one Haar sample."""
+    cumulative = trace_field(haar_sample("unitary", n, seed)).cumulative
+    target = np.outer(np.arange(n + 1), np.arange(n + 1)) / (n * n)
+    return float(np.max(np.abs(cumulative / n - target)))
+
+
 def test_uniform_lln_decreases_on_matched_seeds():
-    devs = [uniform_lln_deviation(trace_field(haar_sample("unitary", n, SeedSpec(777, 0))))
-            for n in (50, 100, 200, 400)]
+    devs = [_uniform_lln_deviation(n, SeedSpec(777, 0)) for n in (50, 100, 200, 400)]
     assert devs[0] > devs[1] > devs[2] > devs[3]
     assert devs[-1] < 0.06
 
@@ -353,7 +357,7 @@ def test_spectral_compare_smoke():
     assert res.reference_mass.sum() == pytest.approx(1.0, abs=1e-6)
     assert 0 <= res.l1_distance <= 2
     assert res.mean_eigenvalue == pytest.approx(0.5, abs=0.05)
-    assert res.metadata["p"] == 18 and res.metadata["q"] == 30
+    assert res.p == 18 and res.q == 30
 
 
 def test_spectral_compare_eigenvalues_are_contractions():
@@ -370,38 +374,6 @@ def test_spectral_compare_regime_warning():
 def test_spectral_compare_degenerate_corner_raises():
     with pytest.raises(ValueError):
         spectral_compare(40, 0.01, 0.5, 4, master_seed=16)
-
-
-# ---------------------------------------------------------------------------
-# bridge reference
-# ---------------------------------------------------------------------------
-
-def test_bridge_reference_single_point_variance():
-    br = bridge_reference([(0.5, 0.5)], 2, SeedSpec(17), count=100_000)
-    assert not br.ridge_applied
-    var = br.values[:, 0].var()
-    assert abs(var - 1 / 16) < 4 * (1 / 16) * math.sqrt(2 / 100_000)
-    br1 = bridge_reference([(0.5, 0.5)], 1, SeedSpec(17), count=100_000)
-    assert abs(br1.values[:, 0].var() - 1 / 8) < 4 * (1 / 8) * math.sqrt(2 / 100_000)
-
-
-def test_bridge_reference_correlation_shared_s():
-    # two points with equal s: correlation is a pure t-bridge ratio
-    t1, t2 = 0.3, 0.6
-    br = bridge_reference([(0.5, t1), (0.5, t2)], 2, SeedSpec(18), count=150_000)
-    got = np.corrcoef(br.values.T)[0, 1]
-    want = (min(t1, t2) - t1 * t2) / math.sqrt(t1 * (1 - t1) * t2 * (1 - t2))
-    assert abs(got - want) < 0.01
-
-
-def test_bridge_reference_covariance_matches_target():
-    pts = [(0.25, 0.25), (0.5, 0.5), (0.75, 0.5)]
-    br = bridge_reference(pts, 2, SeedSpec(19), count=100_000)
-    est, se = covariance_mc(br.values)
-    from haartrace.cumulants import limit_covariance
-    for a, (s1, t1) in enumerate(pts):
-        for b, (s2, t2) in enumerate(pts):
-            assert abs(est[a, b] - limit_covariance(s1, t1, s2, t2, 2)) < 4 * max(se[a, b], 1e-12)
 
 
 # ---------------------------------------------------------------------------
