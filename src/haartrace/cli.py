@@ -15,6 +15,7 @@ import csv
 import datetime
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -225,6 +226,21 @@ def cmd_simulate(config: RunConfig) -> tuple[list[dict], int]:
         })
     failed = any(r.get("within_4se_of_exact") == "false" for r in records)
     return records, 1 if failed else 0
+
+
+def _simulate_summary(records: list[dict]) -> str:
+    """One stderr line: covariances outside 4 SE of the exact value, and the worst |z|."""
+    covariances = [rec for rec in records if rec["kind"] == "covariance"]
+    outside = sum(rec["within_4se_of_exact"] == "false" for rec in covariances)
+
+    def z(rec: dict) -> float:
+        miss = abs(rec["estimate"] - rec["exact_float"])
+        return miss / rec["se"] if rec["se"] > 0 else (math.inf if miss else 0.0)
+
+    worst = max(covariances, key=z)
+    return (f"simulate: {outside} of {len(covariances)} covariances outside 4 SE; "
+            f"worst |z| {z(worst):.2f} at ({worst['s']:g},{worst['t']:g})"
+            f"-({worst['s2']:g},{worst['t2']:g})")
 
 
 def cmd_spectra(config: RunConfig) -> tuple[list[dict], int]:
@@ -490,6 +506,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_report(config, records, started)
+    if args.command == "simulate":
+        print(_simulate_summary(records), file=sys.stderr)
     if args.command == "verify":
         for rec in records:
             print(f"{rec['status']:>4}  {rec['identity']} ({rec['checks']} checks)",

@@ -175,10 +175,12 @@ class KStats:
 
 
 def _kstats_from_sums(count, s1, s2, s3, s4):
+    # powers by products: numpy sends x**3 and x**4 through libm `pow`
     m = count
-    k2 = (m * s2 - s1**2) / (m * (m - 1))
-    k3 = (2 * s1**3 - 3 * m * s1 * s2 + m**2 * s3) / (m * (m - 1) * (m - 2))
-    k4 = (-6 * s1**4 + 12 * m * s1**2 * s2 - 3 * m * (m - 1) * s2**2
+    s1sq = s1 * s1
+    k2 = (m * s2 - s1sq) / (m * (m - 1))
+    k3 = (2 * s1sq * s1 - 3 * m * s1 * s2 + m**2 * s3) / (m * (m - 1) * (m - 2))
+    k4 = (-6 * s1sq * s1sq + 12 * m * s1sq * s2 - 3 * m * (m - 1) * s2**2
           - 4 * m * (m + 1) * s1 * s3 + m**2 * (m + 1) * s4) / (m * (m - 1) * (m - 2) * (m - 3))
     return k2, k3, k4
 
@@ -195,7 +197,8 @@ def kstat_estimators(values: Sequence[float]) -> KStats:
     if n < 8:
         raise InsufficientReplicasError(f"k-statistics need at least 8 replicas, got {n}")
     x = x - x.mean()
-    powers = np.stack([x, x**2, x**3, x**4])
+    x2 = x * x
+    powers = np.stack([x, x2, x2 * x, x2 * x2])
     sums = powers.sum(axis=1)
     k2, k3, k4 = _kstats_from_sums(n, *sums)
     loo = sums[:, None] - powers  # (4, n): sums with replica i removed
@@ -440,8 +443,10 @@ def increment_fourth_moment_fit(group: str, n: int, replicas: int, master_seed: 
 
     deltas = map_replicas(group, n, replicas, master_seed, increments, workers=workers,
                           columns=columns, rows=rows)
-    fourth = (deltas ** 4).mean(axis=0)
-    ses = (deltas ** 4).std(axis=0, ddof=1) / math.sqrt(replicas)
+    d2 = deltas * deltas
+    d4 = d2 * d2
+    fourth = d4.mean(axis=0)
+    ses = d4.std(axis=0, ddof=1) / math.sqrt(replicas)
     scale = np.array([float(n) ** 4 / (dp * dp * dq * dq) for (_, _, _, dp, dq) in blocks])
     ratios = fourth * scale
     return IncrementFit(

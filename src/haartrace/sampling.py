@@ -39,6 +39,24 @@ over chunks.  The block comes by one of two routes:
 The route depends only on the group, n, rows and columns, never on the
 worker count, so rows stay the same for any worker count.
 
+A replica's stream is `np.random.default_rng((master_seed, index))` bit for
+bit, but the engine builds no `SeedSequence` and PCG64 per replica (12-20
+us each).  It ports both seedings.  `_seed_words` hashes the entropy words
+of (master_seed, i) for all of a call's replicas at once in uint32 numpy
+arithmetic, as `SeedSequence` mixes its pool and runs
+`generate_state(4, uint64)` (NEP 19; O'Neill, "Developing a seed_seq
+alternative", 2015): about 0.3 us per replica after a fixed 0.1 ms, which
+a pass per chunk would pay again for every chunk of one or two replicas.
+`_replica_rngs` then does PCG64's seeding step on Python ints and loads
+each state into the chunk's one Generator through `bit_generator.state`.
+Pool threads run chunks concurrently, so a Generator never leaves its
+chunk.  Seeding costs 5 us per replica in chunks of 36 and more, and about
+what `default_rng` costs in chunks of one.  The entropy is the master's
+words (one below 2^32, two up to 2^64) followed by the index's, so the port
+covers every master `SeedSpec` accepts for indices below 2^32; a chunk
+reaching index 2^32, which only `haar_sample(..., SeedSpec(m, i))` can ask
+for, keeps `SeedSpec.rng()`.
+
 Under Householder QR the first q columns of Q depend only on the first q
 Gaussian columns (Mezzadri, Notices AMS 54, 2007), and so does R.  A
 statistic that reads only the leading `columns` of U therefore factorizes
@@ -62,7 +80,7 @@ import functools
 import glob
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -76,7 +94,13 @@ _SQRT_HALF = 1 / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Deterministic address of one replica's random stream."""
+    """Deterministic address of one replica's random stream.
+
+    The stream is `rng()`, `default_rng((master_seed, replica_index))`.  The
+    engine seeds its replicas in one batched pass to the same states
+    (`_seed_words`, `_replica_rngs`) and calls `rng()` itself only from
+    index 2^32 on.
+    """
 
     master_seed: int
     replica_index: int = 0
@@ -94,6 +118,87 @@ class SeedSpec:
 
 def _as_seed(seed) -> SeedSpec:
     return seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
+
+
+# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding constants
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hash of the entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hash of generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+@functools.lru_cache(maxsize=1)
+def _hash_constants() -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's hash constants INIT MULT^t mod 2^32: 17 for mixing, 9 for output.
+
+    Its hash call t xors with constant t and multiplies by constant t + 1.
+    """
+    def powers(init: int, mult: int, count: int) -> np.ndarray:
+        consts = [init]
+        for _ in range(count - 1):
+            consts.append(consts[-1] * mult & _MASK32)
+        return np.array(consts, dtype=np.uint32)
+
+    return powers(_INIT_A, _MULT_A, 17), powers(_INIT_B, _MULT_B, 9)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's `hashmix` of column j of value, as hash call j of `consts`."""
+    value = value ^ consts[:-1]
+    value *= consts[1:]
+    value ^= value >> 16
+    return value
+
+
+def _seed_words(master_seed: int, indices: range) -> np.ndarray:
+    """`SeedSequence((master_seed, i)).generate_state(4, np.uint64)`, one row per index < 2^32.
+
+    All rows in one pass of uint32 numpy arithmetic.
+    """
+    SeedSpec(master_seed)  # rejects a master outside [0, 2^64)
+    mixing, output = _hash_constants()
+    words = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
+    pool = np.zeros((len(indices), 4), dtype=np.uint32)  # the entropy, zero-padded
+    pool[:, :len(words)] = words
+    pool[:, len(words)] = indices
+    pool = _hashmix(pool, mixing[:5])
+    for src in range(4):  # word src mixes into the 3 others, one hash call each
+        dst = [d for d in range(4) if d != src]
+        t = 4 + 3 * src
+        h = _hashmix(pool[:, src, None], mixing[t:t + 4])
+        mixed = pool[:, dst] * _MIX_L - h * _MIX_R
+        mixed ^= mixed >> 16
+        pool[:, dst] = mixed
+    # the output: 8 words cycling the pool, read as 4 uint64
+    return _hashmix(np.tile(pool, 2), output).astype("<u4").view("<u8")
+
+
+def _replica_rngs(master_seed: int, indices: range,
+                  words: np.ndarray | None = None) -> Iterator[np.random.Generator]:
+    """Yield, per index, a Generator in the state of `SeedSpec(master_seed, i).rng()`.
+
+    `words` are the indices' `_seed_words`, computed here if not given.
+    Below index 2^32 the same Generator is reseeded for each index, so draw
+    from it before taking the next one, and keep it to the calling thread.
+    """
+    if indices.stop > 2**32:  # the index takes two entropy words
+        for idx in indices:
+            yield SeedSpec(master_seed, idx).rng()
+        return
+    if words is None:
+        words = _seed_words(master_seed, indices)
+    rng = np.random.default_rng(0)
+    bit_generator = rng.bit_generator
+    for s_hi, s_lo, i_hi, i_lo in words.tolist():
+        # PCG64's seeding: state 0, a step, add the seed, a step
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _ginibre(rng: np.random.Generator, out: np.ndarray) -> None:
@@ -139,8 +244,11 @@ def _gauge_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _haar_stack(group: str, n: int, master_seed: int, indices: range,
                 columns: int | None, rows: int | None = None,
-                solve: Callable[[np.ndarray, np.ndarray], None] | None = None) -> np.ndarray:
+                solve: Callable[[np.ndarray, np.ndarray], None] | None = None,
+                words: np.ndarray | None = None) -> np.ndarray:
     """Leading `rows` x `columns` of the replicas `indices`, each from its own stream, stacked.
+
+    `words` are the indices' `_seed_words`, if already computed.
 
     Without `solve` this is Householder Q with the gauge fix.  With it, each
     G's R alone is computed and `solve` overwrites a copy of G's leading rows
@@ -148,8 +256,8 @@ def _haar_stack(group: str, n: int, master_seed: int, indices: range,
     """
     cols, dtype = _block(group, n, columns)
     z = np.empty((len(indices), n, cols), dtype=dtype)
-    for k, idx in enumerate(indices):
-        _ginibre(SeedSpec(master_seed, idx).rng(), z[k])
+    for k, rng in enumerate(_replica_rngs(master_seed, indices, words)):
+        _ginibre(rng, z[k])
     if solve is not None:
         x = z[:, :rows].copy()  # the solve is in place; a view would overwrite G
         for xk, zk in zip(x, z):
@@ -187,11 +295,15 @@ def map_replicas(group: str, n: int, replicas: int, master_seed: int,
         raise ValueError(f"rows must lie in [1, {n}], got {rows}")
     step = max(1, _CHUNK_BYTES // (n * cols * dtype.itemsize))  # replicas per chunk
     solve = _trsm_calls() if rows < n and step == 1 else None  # the R-only route
+    # every replica's seed words in one pass: a pass per chunk costs about
+    # 0.1 ms, more than it saves on chunks of a few replicas (n of 46 and up)
+    words = _seed_words(master_seed, range(min(replicas, 2**32)))
     keep_sample_memory()
 
     def compute(lo: int) -> np.ndarray:
         indices = range(lo, min(lo + step, replicas))
-        return stack_fn(_haar_stack(group, n, master_seed, indices, columns, rows, solve))
+        return stack_fn(_haar_stack(group, n, master_seed, indices, columns, rows, solve,
+                                    words[lo:lo + step]))
 
     # BLAS runs on one thread for every worker count: OpenBLAS's threaded
     # kernels round differently from its serial ones (at n = 400, say), so a

@@ -113,6 +113,20 @@ def test_simulate_command_deterministic_body(tmp_path):
     assert cov[0]["within_4se_of_exact"] in ("true", "false")
 
 
+def test_simulate_prints_its_covariance_check_on_stderr(tmp_path, capsys):
+    code, text = run_cli(tmp_path, "simulate", "--n", "24", "--replicas", "150",
+                         "--grid", "0,0.5,0.75", "--master-seed", "6")
+    line = capsys.readouterr().err.strip()
+    cov = [r for r in body_records(text) if r["kind"] == "covariance"]
+    outside = sum(r["within_4se_of_exact"] == "false" for r in cov)
+    assert code == (1 if outside else 0)
+    z = {(r["s"], r["t"], r["s2"], r["t2"]): abs(r["estimate"] - r["exact_float"]) / r["se"]
+         for r in cov if r["se"] > 0}
+    (s, t, s2, t2), worst = max(z.items(), key=lambda item: item[1])
+    assert line == (f"simulate: {outside} of {len(cov)} covariances outside 4 SE; "
+                    f"worst |z| {worst:.2f} at ({s:g},{t:g})-({s2:g},{t2:g})")
+
+
 def test_simulate_worker_count_does_not_change_body(tmp_path):
     base = ["simulate", "--n", "32", "--replicas", "120", "--grid", "0.25,0.75",
             "--master-seed", "8"]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,6 +190,33 @@ def test_kstats_exponential_sample():
     assert abs(ks.k2 - 1.0) < 4 * ks.se2
     assert abs(ks.k3 - 2.0) < 4 * ks.se3
     assert abs(ks.k4 - 6.0) < 4 * ks.se4
+
+
+def _exact_kstats(sample):
+    """k2, k3, k4 of Fractions from central power sums m_r = sum (x - mean)^r."""
+    n = len(sample)
+    mean = sum(sample) / n
+    m2, m3, m4 = (sum((v - mean) ** r for v in sample) for r in (2, 3, 4))
+    return (m2 / (n - 1), n * m3 / ((n - 1) * (n - 2)),
+            (n * (n + 1) * m4 - 3 * (n - 1) * m2 * m2) / ((n - 1) * (n - 2) * (n - 3)))
+
+
+def test_kstats_equal_exact_rationals():
+    # pins every k-statistic coefficient and the jackknife factor (n-1)/n
+    values = np.random.default_rng(2024).exponential(size=24)
+    sample = [Fraction(v) for v in values]
+    n = len(sample)
+    exact = _exact_kstats(sample)
+    leave_one_out = [_exact_kstats(sample[:i] + sample[i + 1:]) for i in range(n)]
+    ses = []
+    for r in range(3):
+        jack = [loo[r] for loo in leave_one_out]
+        centre = sum(jack) / n
+        ses.append(math.sqrt(Fraction(n - 1, n) * sum((j - centre) ** 2 for j in jack)))
+    ks = kstat_estimators(values)
+    got = (ks.k2, ks.k3, ks.k4, ks.se2, ks.se3, ks.se4)
+    for value, want in zip(got, [float(k) for k in exact] + ses, strict=True):
+        assert value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_kstats_unbiasedness_small_sample():

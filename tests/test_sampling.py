@@ -424,3 +424,81 @@ def test_importing_the_package_resolves_no_trsm_symbol():
         "print(sampling._trsm_calls.cache_info().currsize,"
         " sampling._openblas.cache_info().currsize)\n"
     ) == ["0", "0"]
+
+
+# ---------------------------------------------------------------------------
+# batched seeding: the engine's port of numpy's SeedSequence and PCG64 seeding
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("master", [0, 1, 2027, 2**32 - 1, 2**32, 2**64 - 1])
+def test_batched_seeding_draws_equal_numpy_default_rng(master):
+    # a numpy upgrade that changed SeedSequence or PCG64 seeding fails here;
+    # 35 and 36 straddle the first chunk boundary at n = 16, 14 real columns
+    for indices in (range(0, 37), range(2**32 - 2, 2**32)):
+        for idx, rng in zip(indices, sampling._replica_rngs(master, indices), strict=True):
+            want = np.random.default_rng((master, idx)).standard_normal(64)
+            assert np.array_equal(rng.standard_normal(64), want), (master, idx)
+
+
+def _numpy_draw(group, n, columns, rng):
+    """Leading columns of one Gaussian n x n draw from rng, as the engine draws it."""
+    if group == "unitary":
+        re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        return (re[:, :columns] + 1j * im[:, :columns]) / np.sqrt(2.0)
+    return rng.standard_normal((n, n))[:, :columns]
+
+
+def _gauge_fixed_qr(g, rows):
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return (q * (d / np.abs(d))[..., None, :])[..., :rows, :]
+
+
+def _numpy_seeded_rows(group, n, master, replicas, rows, columns, r_only):
+    """The engine's rows rebuilt from `default_rng((master, i))` draws: one
+    stacked QR with the gauge fix, or on the R-only route R and the solve."""
+    g = np.stack([_numpy_draw(group, n, columns, np.random.default_rng((master, i)))
+                  for i in range(replicas)])
+    if not r_only:
+        return _gauge_fixed_qr(g, rows)
+    x = g[:, :rows].copy()
+    for xk, gk in zip(x, g):
+        _trsm_calls()(xk, np.linalg.qr(gk, mode="r"))
+    return x
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("group, n, replicas, rows, columns, chunk", [
+    ("orthogonal", 400, 3, 300, 200, 1),  # the R-only route, where the library is bundled
+    ("orthogonal", 16, 80, 16, 14, 36),  # mc_wide_grid's shape
+    ("unitary", 4, 600, 4, 4, 256),
+])
+def test_engine_rows_equal_numpy_seeded_reference(group, n, replicas, rows, columns, chunk,
+                                                  workers):
+    sizes = []
+
+    def identity(z):
+        sizes.append(len(z))
+        return z
+
+    got = map_replicas(group, n, replicas, 2027, identity, workers=workers,
+                       columns=columns, rows=rows)
+    assert max(sizes) == chunk
+    r_only = chunk == 1 and rows < n and _trsm_calls() is not None
+    want = _numpy_seeded_rows(group, n, 2027, replicas, rows, columns, r_only)
+    assert np.array_equal(got, want)
+    if rows == columns == n:
+        assert np.array_equal(haar_batch(group, n, replicas, 2027), got)
+
+
+def test_index_from_two_to_the_32_keeps_seedspec_rng(monkeypatch):
+    # the port mixes one index word and such an index takes two, so it keeps
+    # numpy's own seeding and must not reach the port
+    seed = SeedSpec(7, 2**32)
+    want = _gauge_fixed_qr(_numpy_draw("unitary", 4, 4, seed.rng()), 4)
+
+    def refuse(*_):
+        raise AssertionError("the batched port was used for an index >= 2**32")
+
+    monkeypatch.setattr(sampling, "_seed_words", refuse)
+    assert np.array_equal(haar_sample("unitary", 4, seed), want)
