@@ -29,6 +29,7 @@ from .cumulants import (
     ProjectorFamily,
     classical_cumulant,
     covariance_closed,
+    covariance_closed_orthogonal,
     cumulant_via_moments,
     fourth_central_moment,
     limit_covariance,

@@ -59,6 +59,10 @@ def _bool_str(b: bool) -> str:
     return "true" if b else "false"
 
 
+_RECORD_ENCODER = json.JSONEncoder(separators=(",\n        ", ": "), default=float,
+                                   allow_nan=False)
+
+
 def _write_report(config: RunConfig, records: list[dict], started: float) -> str:
     meta = {
         "command": config.command,
@@ -69,8 +73,13 @@ def _write_report(config: RunConfig, records: list[dict], started: float) -> str
         "duration_s": round(time.time() - started, 3),
     }
     if config.format == "json":
-        text = json.dumps({"meta": meta, "body": {"records": records}}, indent=2,
-                          default=float, allow_nan=False) + "\n"
+        # indent=2 runs json's pure-Python encoder; flat records take the C one, laid out alike
+        head, _, tail = json.dumps({"meta": meta, "body": {"records": []}}, indent=2,
+                                   default=float, allow_nan=False).rpartition("[]")
+        rows = [f"{{\n        {_RECORD_ENCODER.encode(rec)[1:-1]}\n      }}" if rec else "{}"
+                for rec in records]
+        body = "[\n      " + ",\n      ".join(rows) + "\n    ]" if rows else "[]"
+        text = head + body + tail + "\n"
     else:
         buf = io.StringIO()
         for key, val in meta.items():
@@ -193,7 +202,7 @@ def cmd_simulate(config: RunConfig) -> tuple[list[dict], int]:
     values = emp.sample_process_values(
         config.group, config.n, points, config.replicas,
         config.master_seed, workers=config.workers)
-    est, se = emp.covariance_mc(values)
+    est, se = (x.tolist() for x in emp.covariance_mc(values))
     beta = 2 if config.group == "unitary" else 1
     dims = [(emp.floor_index(config.n, s), emp.floor_index(config.n, t)) for s, t in points]
     points = [(float(s), float(t)) for s, t in points]
@@ -207,14 +216,14 @@ def cmd_simulate(config: RunConfig) -> tuple[list[dict], int]:
             records.append({
                 "kind": "covariance",
                 "s": s1, "t": t1, "s2": s2, "t2": t2,
-                "estimate": float(est[a, b]),
-                "se": float(se[a, b]),
+                "estimate": est[a][b],
+                "se": se[a][b],
                 "exact": _frac_str(exact),
                 "exact_float": float(exact),
                 "limit": limit,
-                "within_4se_of_exact": _bool_str(abs(est[a, b] - float(exact)) <= 4 * se[a, b]),
+                "within_4se_of_exact": _bool_str(abs(est[a][b] - float(exact)) <= 4 * se[a][b]),
                 "within_limit_policy": _bool_str(
-                    abs(est[a, b] - limit) <= 0.01 + 4 * se[a, b]),
+                    abs(est[a][b] - limit) <= 0.01 + 4 * se[a][b]),
             })
     for a, (s1, t1) in enumerate(points):
         ks = emp.kstat_estimators(values[:, a])

@@ -386,15 +386,28 @@ def variance_closed(p: int, q: int, n: int) -> Fraction:
 
 
 def covariance_closed(p: int, q: int, p2: int, q2: int, n: int) -> Fraction:
-    """Exact covariance of unitary corner traces T_{p,q} and T_{p2,q2}."""
+    """Exact covariance of unitary corner traces T_{p,q} and T_{p2,q2}.
+
+    With a = min(p, p2) and b = min(q, q2) it is
+    [n^2 ab - n(a q q2 + p p2 b) + p p2 q q2] / (n^2 (n^2 - 1)).
+    """
     _check_dims(n, p, q, p2, q2)
-    d = n * n - 1
-    return (
-        Fraction(min(p, p2) * min(q, q2), d)
-        - Fraction(min(p, p2) * q * q2, n * d)
-        - Fraction(p * p2 * min(q, q2), n * d)
-        + Fraction(p * p2 * q * q2, n * n * d)
-    )
+    a, b, pp, qq = min(p, p2), min(q, q2), p * p2, q * q2
+    return Fraction(n * n * a * b - n * (a * qq + pp * b) + pp * qq, n * n * (n * n - 1))
+
+
+def covariance_closed_orthogonal(p: int, q: int, p2: int, q2: int, n: int) -> Fraction:
+    """Exact covariance of orthogonal corner traces T_{p,q} and T_{p2,q2}.
+
+    With a = min(p, p2), b = min(q, q2), A = p p2 - a and B = q q2 - b it is
+    2[(n-1)^2 ab - (n-1)(aB + Ab) + AB] / (n^2 (n-1)(n+2)), from the entry
+    moments E O^4 = 3/(n(n+2)), E O_ij^2 O_il^2 = 1/(n(n+2)) and
+    E O_ij^2 O_kl^2 = (n+1)/(n(n-1)(n+2)) (Collins and Sniady, CMP 264, 2006).
+    """
+    _check_dims(n, p, q, p2, q2)
+    a, b, m = min(p, p2), min(q, q2), n - 1
+    A, B = p * p2 - a, q * q2 - b
+    return Fraction(2 * (m * m * a * b - m * (a * B + A * b) + A * B), n * n * m * (n + 2))
 
 
 def process_covariance(group: str, n: int, d1: tuple[int, int], d2: tuple[int, int]) -> Fraction:
@@ -402,21 +415,20 @@ def process_covariance(group: str, n: int, d1: tuple[int, int], d2: tuple[int, i
 
     W vanishes identically on an empty corner and on the lines s = 1 and
     t = 1, where T_{n,q} = q and T_{p,n} = p, so a corner side in {0, n}
-    gives 0.
+    gives 0.  Otherwise the value is the group's closed form:
+    `covariance_closed` (unitary) or `covariance_closed_orthogonal`.
     """
+    if group not in GROUPS:
+        raise ValueError(f"group must be one of {GROUPS}")
     if 0 in (*d1, *d2) or n in (*d1, *d2):
         return Fraction(0)
-    if group == "unitary":
-        return covariance_closed(*d1, *d2, n)
-    fam = ProjectorFamily(n, (d1, d2))
-    return trace_cumulant_orthogonal(CumulantRequest("orthogonal", 2, fam))
+    closed = covariance_closed if group == "unitary" else covariance_closed_orthogonal
+    return closed(*d1, *d2, n)
 
 
 def variance_closed_orthogonal(p: int, q: int, n: int) -> Fraction:
     """Exact variance of the orthogonal corner trace T_{p,q}."""
-    _check_dims(n, p, q)
-    return Fraction(2 * p * q * (n * n - n * (p + q) + p * q),
-                    n * n * (n + 2) * (n - 1))
+    return covariance_closed_orthogonal(p, q, p, q, n)
 
 
 def limit_covariance(s: float, t: float, s2: float, t2: float, beta: int) -> float:

@@ -99,6 +99,32 @@ def test_report_with_non_finite_value_is_refused_not_written(tmp_path, value):
     assert not out.exists()
 
 
+_REPORT_RECORDS = {
+    "weingarten": lambda: cli.cmd_weingarten(RunConfig("weingarten", n=3, k=2))[0],
+    "cumulant": lambda: cli.cmd_cumulant(RunConfig("cumulant", n=4, dims="1:2,3:3"))[0],
+    "simulate": lambda: cli.cmd_simulate(RunConfig(
+        "simulate", group="orthogonal", n=6, replicas=100, grid="0,0.5", master_seed=3))[0],
+    "spectra": lambda: cli.cmd_spectra(RunConfig(
+        "spectra", n=10, s=Fraction(1, 3), t=Fraction(1, 2), replicas=20, bins=4))[0],
+    "verify": lambda: cli.cmd_verify(RunConfig("verify", scope="quick"))[0],
+    "no-records": lambda: [],
+    "empty-record": lambda: [{}, {"kind": "summary"}],
+}
+
+
+@pytest.mark.parametrize("case", _REPORT_RECORDS)
+def test_json_report_is_indent_2_dumps_byte_for_byte(tmp_path, case):
+    out = tmp_path / "report.json"
+    config = RunConfig(case, s=Fraction(1, 3), t=Fraction(2, 7), output=str(out))
+    rows = _REPORT_RECORDS[case]()
+    text = _write_report(config, rows, time.time())
+    meta = json.loads(text)["meta"]  # its clock fields are not reproducible
+    assert (meta["config"]["s"], meta["config"]["t"]) == (1 / 3, 2 / 7)
+    assert text == out.read_text() == json.dumps(
+        {"meta": meta, "body": {"records": rows}}, indent=2,
+        default=float, allow_nan=False) + "\n"
+
+
 def test_simulate_command_deterministic_body(tmp_path):
     args = ["simulate", "--n", "40", "--replicas", "150", "--grid", "0.5",
             "--master-seed", "31"]

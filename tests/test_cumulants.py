@@ -22,10 +22,12 @@ from haartrace.cumulants import (
     ProjectorFamily,
     classical_cumulant,
     covariance_closed,
+    covariance_closed_orthogonal,
     cumulant_via_moments,
     fourth_central_moment,
     limit_covariance,
     mixed_trace_moment,
+    process_covariance,
     projector_trace,
     relative_cumulant,
     trace_cumulant,
@@ -210,6 +212,32 @@ def test_covariance_closed_form_matches_trace_cumulant():
         fam = ProjectorFamily(n, ((p, q), (p2, q2)))
         assert trace_cumulant(CumulantRequest("unitary", 2, fam)) == \
             covariance_closed(p, q, p2, q2, n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_covariance_closed_orthogonal_matches_both_routes(n):
+    for p, q, p2, q2 in itertools.product(range(1, n + 1), repeat=4):
+        got = covariance_closed_orthogonal(p, q, p2, q2, n)
+        fam = ProjectorFamily(n, ((p, q), (p2, q2)))
+        assert got == trace_cumulant(CumulantRequest("orthogonal", 2, fam))
+        assert got == cumulant_via_moments("orthogonal", fam)
+        assert got == covariance_closed_orthogonal(p2, q2, p, q, n)  # swap the corners
+        assert got == covariance_closed_orthogonal(q, p, q2, p2, n)  # transpose them
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_orthogonal_process_covariance_edges_and_dimension_errors(n):
+    for side in (0, n):
+        for d in range(n + 1):
+            for d1, d2 in [((side, d), (1, 1)), ((d, side), (1, 1)),
+                           ((1, 1), (side, d)), ((1, 1), (d, side))]:
+                assert process_covariance("orthogonal", n, d1, d2) == 0
+    for bad in (0, n + 1):
+        for dims in [(bad, 1, 1, 1), (1, bad, 1, 1), (1, 1, bad, 1), (1, 1, 1, bad)]:
+            with pytest.raises(DimensionError):
+                covariance_closed_orthogonal(*dims, n)
+    with pytest.raises(ValueError, match="group must be one of"):
+        process_covariance("symplectic", n, (1, 1), (1, 1))
 
 
 def test_covariance_closed_corner_cases():
