@@ -20,21 +20,27 @@ over chunks.  The block comes by one of two routes:
   `haar_sample` is the engine at k = 1 and `haar_batch` the engine with the
   identity stack function.
 - R alone, when a chunk holds one replica and fewer than n rows are read.
-  With G = QR, Q's leading rows are G[:rows] R^-1, so R from
-  `np.linalg.qr(g, mode="r")` and one triangular solve (CBLAS `trsm` from
-  numpy's bundled OpenBLAS, through ctypes) give them without forming Q
-  (LAPACK `ungqr`) and without the gauge fix (Stewart, SIAM J. Numer. Anal.
-  17, 1980).  Each column then differs from Haar's by the unit phase of
-  R's diagonal entry, which squared moduli |U_ij|^2 and the spectrum of
-  V V* for V = U[:p, :q] do not see; the moduli agree with Householder's to
-  rounding, about 1e-13 at n = 400.  One replica of n = 400 with 300 rows
-  and columns took 25 ms of CPU this way against 31 ms by Householder
-  (unitary; orthogonal 12 against 13.5 ms, including the draw).  Chunks of
+  With G = QR, Q's leading rows are G[:rows] R^-1, so R from LAPACK
+  `geqrf` and one triangular solve (CBLAS `trsm`), both called in numpy's
+  bundled OpenBLAS through ctypes (`_r_only_calls`), give them without
+  forming Q (LAPACK `ungqr`) and without the gauge fix (Stewart, SIAM J.
+  Numer. Anal. 17, 1980).  Each column then differs from Haar's by the
+  unit phase of R's diagonal entry, which squared moduli |U_ij|^2 and the
+  spectrum of V V* for V = U[:p, :q] do not see; the moduli agree with
+  Householder's to rounding, about 1e-13 at n = 400.  R is
+  `np.linalg.qr(g, mode="r")` bit for bit, but numpy holds the GIL through
+  that call at these sizes, so pool workers took turns in it; ctypes
+  releases the GIL.  For one 400 x 300 block on one BLAS thread, two
+  threads got through 1.4-2.4 (complex) and 1.6-2.0 (real) times the QRs
+  of one, against 0.9-1.1 times through numpy.  100 unitary replicas at
+  n = 400 with 300 rows and columns took 1.0-1.1 s on two workers against
+  1.5-1.6 s through numpy (1.8-1.9 s and 2.4 s on one).  Chunks of
   several replicas keep Householder: there a QR and a solve per replica
   cost more than the one stacked QR and gauge fix (5000 orthogonal replicas
   of n = 16, 14 x 14, in chunks of 36: 0.44-0.48 s against 0.27-0.30 s).
-  Without the bundled library every chunk takes Householder.  All timings
-  on one thread of a shared 2-core x86-64 host.
+  Without the bundled library, or any of the four calls in it, every chunk
+  takes Householder.  All timings on a shared 2-core x86-64 host, BLAS on
+  one thread.
 
 The route depends only on the group, n, rows and columns, never on the
 worker count, so rows stay the same for any worker count.
@@ -244,24 +250,26 @@ def _gauge_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _haar_stack(group: str, n: int, master_seed: int, indices: range,
                 columns: int | None, rows: int | None = None,
-                solve: Callable[[np.ndarray, np.ndarray], None] | None = None,
+                r_only: tuple[Callable, Callable] | None = None,
                 words: np.ndarray | None = None) -> np.ndarray:
     """Leading `rows` x `columns` of the replicas `indices`, each from its own stream, stacked.
 
     `words` are the indices' `_seed_words`, if already computed.
 
-    Without `solve` this is Householder Q with the gauge fix.  With it, each
-    G's R alone is computed and `solve` overwrites a copy of G's leading rows
-    with G[:rows] R^-1: Q's rows, each column still carrying R's phase.
+    Without `r_only` this is Householder Q with the gauge fix.  With the
+    `(qr_r, solve)` of `_r_only_calls`, each G's R alone is computed and
+    `solve` overwrites a copy of G's leading rows with G[:rows] R^-1: Q's
+    rows, each column still carrying R's phase.
     """
     cols, dtype = _block(group, n, columns)
     z = np.empty((len(indices), n, cols), dtype=dtype)
     for k, rng in enumerate(_replica_rngs(master_seed, indices, words)):
         _ginibre(rng, z[k])
-    if solve is not None:
+    if r_only is not None:
+        qr_r, solve = r_only
         x = z[:, :rows].copy()  # the solve is in place; a view would overwrite G
         for xk, zk in zip(x, z):
-            solve(xk, np.linalg.qr(zk, mode="r"))
+            solve(xk, qr_r(zk))
         return x
     q, r = np.linalg.qr(z)
     return _gauge_fix(q[:, :rows], r)
@@ -294,7 +302,7 @@ def map_replicas(group: str, n: int, replicas: int, master_seed: int,
     if not 1 <= rows <= n:
         raise ValueError(f"rows must lie in [1, {n}], got {rows}")
     step = max(1, _CHUNK_BYTES // (n * cols * dtype.itemsize))  # replicas per chunk
-    solve = _trsm_calls() if rows < n and step == 1 else None  # the R-only route
+    r_only = _r_only_calls() if rows < n and step == 1 else None
     # every replica's seed words in one pass: a pass per chunk costs about
     # 0.1 ms, more than it saves on chunks of a few replicas (n of 46 and up)
     words = _seed_words(master_seed, range(min(replicas, 2**32)))
@@ -302,7 +310,7 @@ def map_replicas(group: str, n: int, replicas: int, master_seed: int,
 
     def compute(lo: int) -> np.ndarray:
         indices = range(lo, min(lo + step, replicas))
-        return stack_fn(_haar_stack(group, n, master_seed, indices, columns, rows, solve,
+        return stack_fn(_haar_stack(group, n, master_seed, indices, columns, rows, r_only,
                                     words[lo:lo + step]))
 
     # BLAS runs on one thread for every worker count: OpenBLAS's threaded
@@ -359,25 +367,63 @@ _ROW_MAJOR, _NO_TRANS, _UPPER, _NON_UNIT, _RIGHT = 101, 111, 121, 131, 142
 
 
 @functools.lru_cache(maxsize=1)
-def _trsm_calls():
-    """solve(x, r) on numpy's bundled OpenBLAS, or None without the library.
+def _r_only_calls():
+    """(qr_r, solve) on numpy's bundled OpenBLAS, or None without the library.
 
-    solve overwrites the m x k block x with x R^-1 for the k x k
-    upper-triangular R, float64 or complex128: one CBLAS `trsm` call,
-    row-major, R on the right.  The enums are C ints; the library's sizes
-    are 64-bit.  Resolved on first use of the R-only route.
+    Both take float64 or complex128 arrays and call the library through
+    ctypes, which releases the GIL, so pool threads overlap in them; the
+    library's sizes are 64-bit.  Resolved on first use of the R-only route,
+    and None unless all four symbols are there.
+
+    qr_r(a) returns the upper-triangular R of the m x k array a, C-ordered:
+    LAPACK `geqrf` on a Fortran-ordered copy, with the workspace its
+    `lwork = -1` query asks for.  numpy's `np.linalg.qr(a, mode="r")` makes
+    the same calls on the same library (`qr_r_raw`) but holds the GIL
+    through them, so R is the same bit for bit.
+
+    solve(x, r) overwrites the m x k block x with x R^-1 for the k x k
+    upper-triangular R: one CBLAS `trsm` call, row-major, R on the right;
+    the enums are C ints.
     """
     lib = _openblas()
     try:
+        dgeqrf, zgeqrf = lib.scipy_dgeqrf_64_, lib.scipy_zgeqrf_64_
         dtrsm, ztrsm = lib.scipy_cblas_dtrsm64_, lib.scipy_cblas_ztrsm64_
     except AttributeError:  # no library (None) or no such symbol
         return None
+    size = ctypes.POINTER(ctypes.c_int64)
+    for geqrf in (dgeqrf, zgeqrf):  # (m, n, a, lda, tau, work, lwork, info), all by address
+        geqrf.argtypes = [size, size, ctypes.c_void_p, size, ctypes.c_void_p,
+                          ctypes.c_void_p, size, size]
+        geqrf.restype = None
     head = [ctypes.c_int] * 5 + [ctypes.c_int64] * 2
     tail = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
     dtrsm.argtypes = head + [ctypes.c_double] + tail  # alpha by value
     ztrsm.argtypes = head + [ctypes.c_void_p] + tail  # alpha by address
     dtrsm.restype = ztrsm.restype = None
     complex_one = (ctypes.c_double * 2)(1.0, 0.0)
+
+    def qr_r(a: np.ndarray) -> np.ndarray:
+        if not (a.ndim == 2 and a.dtype in (np.float64, np.complex128)):
+            raise ValueError(f"cannot factor a {a.dtype} {a.shape} array")
+        f = np.array(a, order="F")  # geqrf overwrites it with R and the reflectors
+        m, k = f.shape
+        geqrf = zgeqrf if f.dtype.kind == "c" else dgeqrf
+        tau = np.empty(min(m, k), dtype=f.dtype)
+
+        def call(work: np.ndarray, lwork: int) -> None:
+            info = ctypes.c_int64(0)
+            geqrf(ctypes.byref(ctypes.c_int64(m)), ctypes.byref(ctypes.c_int64(k)),
+                  f.ctypes.data, ctypes.byref(ctypes.c_int64(max(1, m))), tau.ctypes.data,
+                  work.ctypes.data, ctypes.byref(ctypes.c_int64(lwork)), ctypes.byref(info))
+            if info.value < 0:
+                raise ValueError(f"geqrf rejected its argument {-info.value}")
+
+        work = np.empty(1, dtype=f.dtype)
+        call(work, -1)  # the workspace query: the size lands in work[0]
+        lwork = max(1, k, int(work[0].real))  # numpy's size, so numpy's blocking
+        call(np.empty(lwork, dtype=f.dtype), lwork)
+        return np.triu(f[:min(m, k)])
 
     def solve(x: np.ndarray, r: np.ndarray) -> None:
         m, k = x.shape
@@ -390,7 +436,7 @@ def _trsm_calls():
         trsm(_ROW_MAJOR, _RIGHT, _UPPER, _NO_TRANS, _NON_UNIT, m, k, alpha,
              r.ctypes.data, k, x.ctypes.data, k)
 
-    return solve
+    return qr_r, solve
 
 
 @contextlib.contextmanager

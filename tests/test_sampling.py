@@ -3,6 +3,7 @@ import resource
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from haartrace.sampling import (
     _ginibre,
     _mallopt,
     _openblas_thread_calls,
-    _trsm_calls,
+    _r_only_calls,
     haar_batch,
     haar_sample,
     orthonormality_residual,
@@ -308,17 +309,23 @@ def _householder_rows(group, n, master, replicas, rows, columns):
                      for i in range(replicas)])
 
 
+def _library_calls():
+    """`_r_only_calls()`, skipping the test where numpy bundles no scipy-openblas."""
+    found = _r_only_calls()
+    if found is None:
+        pytest.skip("numpy does not bundle a scipy-openblas library here")
+    return found
+
+
 def _solve_calls(monkeypatch):
     """Count the engine's trsm solves; returns the list the calls append to."""
-    calls, solve = [], _trsm_calls()
-    if solve is None:
-        pytest.skip("numpy does not bundle a scipy-openblas library here")
+    calls, (qr_r, solve) = [], _library_calls()
 
     def counted(x, r):
         calls.append(x.shape)
         solve(x, r)
 
-    monkeypatch.setattr(sampling, "_trsm_calls", lambda: counted)
+    monkeypatch.setattr(sampling, "_r_only_calls", lambda: (qr_r, counted))
     return calls
 
 
@@ -347,7 +354,7 @@ def test_householder_route_rows_are_bit_identical(monkeypatch, group, case):
     if case == "all rows":
         rows = n
     if case == "no library":
-        monkeypatch.setattr(sampling, "_trsm_calls", lambda: None)
+        monkeypatch.setattr(sampling, "_r_only_calls", lambda: None)
     got = map_replicas(group, n, replicas, 17, lambda z: z, columns=columns, rows=rows)
     assert calls == []
     assert np.array_equal(got, _householder_rows(group, n, 17, replicas, rows, columns))
@@ -357,16 +364,17 @@ def test_r_only_solve_leaves_the_gaussian_unchanged(monkeypatch):
     # the solve runs in place on the leading rows; on a view of the stack it
     # would overwrite the Gaussian that R came from
     calls = _solve_calls(monkeypatch)
-    seen, qr = [], np.linalg.qr
+    qr_r, solve = sampling._r_only_calls()
+    seen = []
 
-    def recording_qr(a, mode="reduced"):
-        seen.append((mode, a, a.copy()))
-        return qr(a, mode=mode)
+    def recording_qr(a):
+        seen.append((a, a.copy()))
+        return qr_r(a)
 
-    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(sampling, "_r_only_calls", lambda: (recording_qr, solve))
     map_replicas("unitary", 64, 3, 5, lambda z: z, columns=40, rows=30)
-    assert len(calls) == 3 and [mode for mode, _, _ in seen] == ["r"] * 3
-    assert all(np.array_equal(g, before) for _, g, before in seen)
+    assert len(calls) == len(seen) == 3
+    assert all(np.array_equal(g, before) for g, before in seen)
 
 
 @pytest.mark.parametrize("group", ["unitary", "orthogonal"])
@@ -385,9 +393,7 @@ def test_rows_out_of_range():
 
 
 def test_trsm_solve_refuses_mismatched_arguments():
-    solve = _trsm_calls()
-    if solve is None:
-        pytest.skip("numpy does not bundle a scipy-openblas library here")
+    solve = _library_calls()[1]
     x, r = np.ones((3, 4)), np.eye(4)
     for bad_x, bad_r in ((x, np.eye(3)), (x, np.eye(4, dtype=np.complex128)),
                          (np.ones((4, 3)).T, r), (x.astype(np.float32), r)):
@@ -395,6 +401,72 @@ def test_trsm_solve_refuses_mismatched_arguments():
             solve(bad_x, bad_r)
     solve(x, 2 * r)
     assert np.array_equal(x, np.full((3, 4), 0.5))
+
+
+def test_geqrf_qr_refuses_mismatched_arguments():
+    qr_r = _library_calls()[0]
+    a = np.vander(np.arange(1.0, 5.0), 3)
+    for bad in (a.astype(np.float32), a.astype(np.complex64), a.astype(np.int64),
+                a[0], np.stack([a, a])):
+        with pytest.raises(ValueError, match="cannot factor"):
+            qr_r(bad)
+    assert qr_r(a).tobytes() == np.linalg.qr(a, mode="r").tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape", [(9, 1), (1, 1), (12, 12), (7, 3), (64, 40), (400, 300),
+                                   (1000, 50), "view"])
+def test_geqrf_r_equals_numpy_bit_for_bit(dtype, shape):
+    # the same LAPACK geqrf with the same workspace as numpy's qr_r_raw, so
+    # the same blocking: a numpy that changed either fails here
+    qr_r = _library_calls()[0]
+    rng = np.random.default_rng(7)
+    whole = (64, 90) if shape == "view" else shape
+    a = rng.standard_normal(whole).astype(dtype)
+    if dtype == np.complex128:
+        a += 1j * rng.standard_normal(whole)
+    if shape == "view":
+        a = a[1::2, 3:70:2]  # 32 x 34, neither C- nor Fortran-contiguous
+    before = a.copy()
+    with sampling.single_threaded_blas():
+        got, want = qr_r(a), np.linalg.qr(a, mode="r")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous and np.array_equal(a, before)
+
+
+def _longest_stalls(qr_r, a, calls=9):
+    """For each of `calls` qr_r(a) in a second thread, the longest interval
+    in which this thread made no progress, as a share of that call."""
+    done, spans, beats = threading.Event(), [], []
+
+    def factor():
+        for _ in range(calls):
+            start = time.perf_counter()
+            qr_r(a)
+            spans.append((start, time.perf_counter()))
+        done.set()
+
+    with sampling.single_threaded_blas():
+        worker = threading.Thread(target=factor)
+        worker.start()
+        while not done.wait(2e-4):  # a short wait gives up the GIL at once
+            beats.append(time.perf_counter())
+        worker.join(60)
+    assert not worker.is_alive() and len(spans) == calls
+    beats = np.array(beats)
+    return [np.diff(np.concatenate(([t0], beats[(beats > t0) & (beats < t1)], [t1]))).max()
+            / (t1 - t0) for t0, t1 in spans]
+
+
+def test_r_only_qr_releases_the_gil():
+    # numpy's qr(mode="r") holds the GIL through geqrf at this shape
+    # (mc_bridge's 400 x 300 block): another thread then stalls for about
+    # 85% of every call, and through ctypes for under 15%
+    qr_r = _library_calls()[0]
+    rng = np.random.default_rng(400)
+    a = (rng.standard_normal((400, 300)) + 1j * rng.standard_normal((400, 300))) / np.sqrt(2)
+    assert np.median(_longest_stalls(qr_r, a)) < 0.5
 
 
 def _fresh_python(code):
@@ -413,17 +485,21 @@ def test_r_only_sampling_imports_no_scipy():
         "from haartrace import sampling\n"
         "from haartrace.empirics import sample_process_values\n"
         "sample_process_values('unitary', 400, [(0.5, 0.5)], 1, 3)\n"
-        "print('scipy' in sys.modules, sampling._trsm_calls() is not None)\n"
+        "print('scipy' in sys.modules, sampling._r_only_calls() is not None)\n"
     ) in (["False", "True"], ["False", "False"])
 
 
 def test_importing_the_package_resolves_no_trsm_symbol():
+    # the trsm and geqrf symbols are resolved together, on the route's first use
     assert _fresh_python(
         "import haartrace, haartrace.cli\n"
         "from haartrace import sampling\n"
-        "print(sampling._trsm_calls.cache_info().currsize,"
+        "print(sampling._r_only_calls.cache_info().currsize,"
         " sampling._openblas.cache_info().currsize)\n"
-    ) == ["0", "0"]
+        "found = sampling._r_only_calls() is not None\n"
+        "names = vars(sampling._openblas()) if found else {}\n"
+        "print(found, sum('geqrf' in name or 'trsm' in name for name in names))\n"
+    ) in (["0", "0", "True", "4"], ["0", "0", "False", "0"])
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +538,16 @@ def _numpy_seeded_rows(group, n, master, replicas, rows, columns, r_only):
     if not r_only:
         return _gauge_fixed_qr(g, rows)
     x = g[:, :rows].copy()
-    for xk, gk in zip(x, g):
-        _trsm_calls()(xk, np.linalg.qr(gk, mode="r"))
+    with sampling.single_threaded_blas():  # as the engine: threaded kernels round otherwise
+        for xk, gk in zip(x, g):
+            _r_only_calls()[1](xk, np.linalg.qr(gk, mode="r"))
     return x
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("group, n, replicas, rows, columns, chunk", [
     ("orthogonal", 400, 3, 300, 200, 1),  # the R-only route, where the library is bundled
+    ("unitary", 400, 2, 300, 300, 1),  # mc_bridge's shape, the complex R-only route
     ("orthogonal", 16, 80, 16, 14, 36),  # mc_wide_grid's shape
     ("unitary", 4, 600, 4, 4, 256),
 ])
@@ -484,7 +562,7 @@ def test_engine_rows_equal_numpy_seeded_reference(group, n, replicas, rows, colu
     got = map_replicas(group, n, replicas, 2027, identity, workers=workers,
                        columns=columns, rows=rows)
     assert max(sizes) == chunk
-    r_only = chunk == 1 and rows < n and _trsm_calls() is not None
+    r_only = chunk == 1 and rows < n and _r_only_calls() is not None
     want = _numpy_seeded_rows(group, n, 2027, replicas, rows, columns, r_only)
     assert np.array_equal(got, want)
     if rows == columns == n:
