@@ -248,6 +248,36 @@ def all_permutations(k: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(p) for p in itertools.permutations(range(1, k + 1)))
 
 
+def pair_orbits(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Orbits of the pairs (alpha, beta) in S_k x S_k under simultaneous conjugation.
+
+    g in S_k sends (alpha, beta) to (g alpha g^-1, g beta g^-1): it relabels
+    the ground set by g in both.  Each orbit is a tuple of index pairs (i, j)
+    into `all_permutations(k)`, led by its first pair in row-major order, and
+    the orbits come in the order of their leaders.  k = 1..4 gives 1, 4, 11
+    and 43 orbits of the 1, 4, 36 and 576 pairs.
+    """
+    perms = [p.images for p in all_permutations(k)]
+    index = {images: i for i, images in enumerate(perms)}
+
+    def conjugate(g: tuple[int, ...], a: tuple[int, ...]) -> int:
+        # g a g^-1 sends g(x) to g(a(x))
+        out = [0] * k
+        for x, y in zip(g, a):
+            out[x - 1] = g[y - 1]
+        return index[tuple(out)]
+
+    seen: set[tuple[int, int]] = set()
+    orbits = []
+    for i, alpha in enumerate(perms):
+        for j, beta in enumerate(perms):
+            if (i, j) not in seen:
+                orbit = dict.fromkeys((conjugate(g, alpha), conjugate(g, beta)) for g in perms)
+                seen.update(orbit)
+                orbits.append(tuple(orbit))
+    return tuple(orbits)
+
+
 def bar(a: int, k: int) -> int:
     """The fixed [2k] encoding of the barred copy: a <-> k + a."""
     return a + k if a <= k else a - k

@@ -18,10 +18,17 @@ representative extracted from t_{alpha^-1} tau_eps t_beta.
 
 Both sums are evaluated one way.  The admissible (pi, A) do not depend on n,
 so they are found once per (group, r), as monomials in cycle-set cumulants.
+A pair coefficient depends on (alpha, beta) only up to relabelling the r
+trace factors, that is up to simultaneous conjugation by g in S_r: the
+relabelled pi is conjugate to pi (orthogonal: relabelling both copies of [r]
+lies in H_r, so sigma keeps its double coset), and A moves with it.  So the
+monomials are found once per conjugacy orbit of pairs (1, 4, 11 and 43 orbits
+of the 1, 4, 36 and 576 pairs at r = 1..4) and shared by the orbit.
 Evaluated at n, they give the dims-independent pair coefficients as one
-integer matrix C over a common denominator D, cached per (group, n, r).  A
-family costs two trace vectors a_i = Tr_{alpha_i}, b_j = Tr_{beta_j} and one
-product kappa_r = a^T C b / D.  Everything on this path is exact.
+integer matrix C over a common denominator D, cached per (group, n, r), with
+one evaluation per orbit.  A family costs two trace vectors
+a_i = Tr_{alpha_i}, b_j = Tr_{beta_j} and one product kappa_r = a^T C b / D.
+Everything on this path is exact.
 
 An independent moment-side oracle (`mixed_trace_moment` fed through
 `classical_cumulant`) recomputes every cumulant from raw joint moments by the
@@ -58,6 +65,7 @@ from .combinatorics import (
     join,
     mobius,
     one_partition,
+    pair_orbits,
     refines,
 )
 from .errors import DimensionError, OrderViolationError, SizeLimitError
@@ -219,6 +227,12 @@ def _admissible_monomials(group: str, r: int) -> tuple[tuple[tuple[Fraction, tup
     beta alpha^-1 (unitary), or the sigma of every sign vector eps, with weight
     2^(r - #alpha - #beta) (orthogonal).  C_{pi, A} factorizes over blocks, so
     A is kept as a monomial: the sorted tuple of its blocks' cycle types.
+
+    Relabelling by g in S_r keeps the weight and the monomial multiset, so
+    they are built for the leader of each `pair_orbits(r)` orbit only, and
+    every pair of the orbit holds the leader's entry object.  The monomials
+    of a pair are the same multiset as its own construction would give; only
+    their order may differ.
     """
     full = one_partition(r)
 
@@ -241,7 +255,13 @@ def _admissible_monomials(group: str, r: int) -> tuple[tuple[tuple[Fraction, tup
         return weight, tuple(monomials.items())
 
     perms = all_permutations(r)
-    return tuple(tuple(pair(alpha, beta) for beta in perms) for alpha in perms)
+    table = [[None] * len(perms) for _ in perms]
+    for orbit in pair_orbits(r):
+        i, j = orbit[0]
+        entry = pair(perms[i], perms[j])
+        for i, j in orbit:
+            table[i][j] = entry
+    return tuple(map(tuple, table))
 
 
 @lru_cache(maxsize=None)
@@ -249,16 +269,22 @@ def _coefficient_table(group: str, n: int, r: int) -> tuple[tuple[tuple[int, ...
     """Integer matrix C and common denominator D of the pair coefficients.
 
     Row i and column j belong to the i-th and j-th permutation of
-    `all_permutations(r)`, taken as alpha and beta respectively.  Each entry
-    evaluates the monomials of `_admissible_monomials` at n.
+    `all_permutations(r)`, taken as alpha and beta respectively.  Each
+    (weight, monomials) entry of `_admissible_monomials` is evaluated at n
+    once: the pairs of one conjugacy orbit share one entry object, so the
+    entries are keyed by identity.
     """
-    coeffs = [[weight * sum((count * math.prod(_cycle_set_cumulant(group, n, t) for t in mono)
-                             for mono, count in monomials), Fraction(0))
-               for weight, monomials in row]
-              for row in _admissible_monomials(group, r)]
-    denom = math.lcm(*(c.denominator for row in coeffs for c in row))
-    table = tuple(tuple(c.numerator * (denom // c.denominator) for c in row) for row in coeffs)
-    return table, denom
+    rows = _admissible_monomials(group, r)
+    coeffs: dict[int, Fraction] = {}
+    for entry in itertools.chain.from_iterable(rows):
+        if id(entry) not in coeffs:
+            weight, monomials = entry
+            coeffs[id(entry)] = weight * sum(
+                (count * math.prod(_cycle_set_cumulant(group, n, t) for t in mono)
+                 for mono, count in monomials), Fraction(0))
+    denom = math.lcm(*(c.denominator for c in coeffs.values()))
+    scaled = {key: c.numerator * (denom // c.denominator) for key, c in coeffs.items()}
+    return tuple(tuple(scaled[id(entry)] for entry in row) for row in rows), denom
 
 
 def trace_cumulant(req: CumulantRequest) -> Fraction:

@@ -18,6 +18,7 @@ from haartrace.combinatorics import (
     loop_count,
     mobius,
     one_partition,
+    pair_orbits,
     perm_pairing,
     refines,
     zero_partition,
@@ -213,6 +214,24 @@ def test_cycle_partition_composition_refinement():
             lhs = cycle_partition(sigma * tau)
             rhs = join(cycle_partition(sigma), cycle_partition(tau))
             assert refines(lhs, rhs)
+
+
+@pytest.mark.parametrize("k, count", [(1, 1), (2, 4), (3, 11), (4, 43)])
+def test_pair_orbits_are_the_simultaneous_conjugacy_classes(k, count):
+    perms = all_permutations(k)
+    orbits = pair_orbits(k)
+    assert len(orbits) == count
+    members = [pair for orbit in orbits for pair in orbit]
+    assert sorted(members) == [(i, j) for i in range(len(perms)) for j in range(len(perms))]
+    # each orbit is the full class of its leader, and the leader comes first
+    # in row-major order, as do the leaders of successive orbits
+    for orbit in orbits:
+        i, j = orbit[0]
+        alpha, beta = perms[i], perms[j]
+        conjugates = {(g * alpha * g.inverse(), g * beta * g.inverse()) for g in perms}
+        assert {(perms[a], perms[b]) for a, b in orbit} == conjugates
+        assert orbit[0] == min(orbit)
+    assert [orbit[0] for orbit in orbits] == sorted(orbit[0] for orbit in orbits)
 
 
 # ---------------------------------------------------------------------------

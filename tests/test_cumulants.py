@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +37,13 @@ from haartrace.cumulants import (
 )
 from haartrace.errors import DimensionError, OrderViolationError, SizeLimitError
 from haartrace.sampling import haar_batch
-from haartrace.weingarten import weingarten_orthogonal, weingarten_unitary
+from haartrace.weingarten import (
+    sigma_of,
+    t_of_perm,
+    tau_of_signs,
+    weingarten_orthogonal,
+    weingarten_unitary,
+)
 
 
 def uniform_req(group, p, q, r, n):
@@ -349,7 +356,8 @@ def test_moment_oracle_shares_no_code_with_closed_route(monkeypatch):
     for name in ("_coefficient_table", "_admissible_monomials",
                  "relative_cumulant", "_cycle_set_cumulant", "trace_cumulant",
                  "trace_cumulant_unitary", "trace_cumulant_orthogonal", "_sigma_triple",
-                 "projector_trace", "weingarten_unitary", "weingarten_orthogonal"):
+                 "pair_orbits", "projector_trace", "weingarten_unitary",
+                 "weingarten_orthogonal"):
         monkeypatch.setattr(cm, name, closed_route_called)
     # memoized moment matrices or block moments would hide a call
     cm._moment_matrix.cache_clear()
@@ -393,6 +401,77 @@ def test_coset_mutant_is_caught_with_the_structure_warm(monkeypatch):
     _, rows = run_verification("quick")
     row = next(r for r in rows if r["identity"] == "oracle-equivalence-orthogonal")
     assert row["status"] == "FAIL"
+
+
+def _orbits_by_cycle_type(k):
+    """A pair_orbits mutant coarser than conjugacy: pairs keyed by the cycle
+    type of beta alpha^-1 alone."""
+    perms = all_permutations(k)
+    classes = {}
+    for i, alpha in enumerate(perms):
+        for j, beta in enumerate(perms):
+            classes.setdefault((beta * alpha.inverse()).cycle_type(), []).append((i, j))
+    return tuple(map(tuple, classes.values()))
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_coarse_orbit_mutant_is_caught_by_the_oracle(monkeypatch, warm):
+    # pairs in one cycle-type class but not one conjugacy orbit have other
+    # admissible groupings and weights; copying the leader's entry to them
+    # breaks both closed routes.  Warm, the structure is built before the
+    # mutant goes in, and the verify run's cache clearing must drop it
+    import haartrace.cumulants as cm
+    from haartrace.cli import run_verification
+
+    if warm:
+        for group, rmax in (("unitary", 4), ("orthogonal", 3)):
+            for r in range(1, rmax + 1):
+                cm._admissible_monomials(group, r)
+    monkeypatch.setattr(cm, "pair_orbits", _orbits_by_cycle_type)
+    _, rows = run_verification("quick")
+    status = {row["identity"]: row["status"] for row in rows}
+    assert status["oracle-equivalence-unitary"] == status["oracle-equivalence-orthogonal"] == "FAIL"
+
+
+def _pair_monomials(group, alpha, beta):
+    """Weight and monomial Counter of one (alpha, beta), built for that pair alone.
+
+    The per-pair construction that `_admissible_monomials` runs only on the
+    leader of each conjugacy orbit: the groupings of the cycles of each pi
+    that join with the cycle partitions of alpha and beta to the one-block
+    partition, each kept as the sorted tuple of its blocks' cycle types.
+    """
+    r = alpha.size
+    ab = join(cycle_partition(alpha), cycle_partition(beta))
+    if group == "unitary":
+        pis, weight = [beta * alpha.inverse()], Fraction(1)
+    else:
+        pis = [sigma_of(t_of_perm(alpha.inverse()) * tau_of_signs(eps) * t_of_perm(beta))
+               for eps in itertools.product((1, -1), repeat=r)]
+        weight = Fraction(2 ** r, 2 ** (alpha.num_cycles + beta.num_cycles))
+    monomials = Counter()
+    for pi in pis:
+        cycles = pi.cycles()
+        for grouping in enumerate_partitions(len(cycles)):
+            blocks = [[cycles[c - 1] for c in block] for block in grouping.blocks]
+            merged = SetPartition.of(r, [sum(block, ()) for block in blocks])
+            if join(merged, ab) == one_partition(r):
+                monomials[tuple(sorted(tuple(sorted(map(len, block), reverse=True))
+                                       for block in blocks))] += 1
+    return weight, monomials
+
+
+@pytest.mark.parametrize("group, rmax", [("unitary", 4), ("orthogonal", 3)])
+def test_admissible_monomials_equal_the_per_pair_reference(group, rmax):
+    # every pair, not only the orbit leaders, gets the weight and monomials
+    # of its own construction
+    import haartrace.cumulants as cm
+    for r in range(1, rmax + 1):
+        perms = all_permutations(r)
+        for alpha, row in zip(perms, cm._admissible_monomials(group, r)):
+            for beta, (weight, monomials) in zip(perms, row):
+                assert len(dict(monomials)) == len(monomials)
+                assert (weight, Counter(dict(monomials))) == _pair_monomials(group, alpha, beta)
 
 
 def _filtered_pair_coefficient(group, n, alpha, beta):

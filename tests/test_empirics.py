@@ -120,6 +120,15 @@ def test_process_value_floor_convention():
     assert process_value(f, 0.3, 0.5) != process_value(f, 0.4, 0.5)
 
 
+def test_floor_index_rounding_mutant_is_caught(monkeypatch):
+    # process_value reads its indices through the module, so the floor
+    # convention test sees a floor_index that rounds n x (0.39 -> p = 4)
+    from haartrace import empirics
+    monkeypatch.setattr(empirics, "floor_index", lambda n, x: min(n, max(0, round(n * x))))
+    with pytest.raises(AssertionError):
+        test_process_value_floor_convention()
+
+
 def test_block_increment_examples():
     f = trace_field(haar_sample("unitary", 30, SeedSpec(10)))
     assert block_increment(f, 0.4, 0.4, 0.1, 0.9) == 0.0

@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from haartrace.empirics import map_replicas, process_value, sample_process_values, trace_field
-from haartrace import sampling
+from haartrace import empirics, sampling
 from haartrace.errors import DimensionError
 from haartrace.sampling import (
     SeedSpec,
@@ -224,6 +224,22 @@ def test_sample_process_values_matches_pointwise_loop(group):
         assert got[i].tolist() == want  # the same sample gives the same floats
         full = trace_field(haar_sample(group, n, SeedSpec(seed, i)))
         assert np.max(np.abs(got[i] - [process_value(full, s, t) for s, t in pts])) <= 1e-13
+
+
+def test_dropped_centring_mutant_is_caught(monkeypatch):
+    # the first grid point's p*q/n centring left out of sample_process_values,
+    # emulated by adding it back to that column of the corner reader's traces
+    real = empirics.corner_traces
+
+    def first_point_uncentred(n, ps, qs):
+        traces, rows, columns = real(n, ps, qs)
+        shift = np.zeros(len(ps))
+        shift[0] = ps[0] * qs[0] / n
+        return (lambda stack: traces(stack) + shift), rows, columns
+
+    monkeypatch.setattr(empirics, "corner_traces", first_point_uncentred)
+    with pytest.raises(AssertionError):
+        test_sample_process_values_matches_pointwise_loop("unitary")
 
 
 def test_replicas_run_single_threaded_blas_and_restore_it(monkeypatch):
