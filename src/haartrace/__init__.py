@@ -27,13 +27,11 @@ from .combinatorics import (
 from .cumulants import (
     CumulantRequest,
     ProjectorFamily,
-    classical_cumulant,
     covariance_closed,
     covariance_closed_orthogonal,
     cumulant_via_moments,
     fourth_central_moment,
     limit_covariance,
-    mixed_trace_moment,
     process_covariance,
     projector_trace,
     relative_cumulant,

@@ -147,15 +147,12 @@ def cmd_cumulant(config: RunConfig) -> tuple[list[dict], int]:
     dims = family.dims
     uniform = len(set(dims)) == 1
     comparator_kind = "moment-oracle"
-    empty = 0 in sum(dims, ())  # T = 0 exactly; the closed forms take sides in [1, n]
     if r == 1:
         comparator, comparator_kind = Fraction(dims[0][0] * dims[0][1], config.n), "mean"
-    elif r == 2 and config.group == "unitary":
-        comparator = Fraction(0) if empty else cm.covariance_closed(*dims[0], *dims[1], config.n)
-        comparator_kind = "var0" if uniform else "cov1"
-    elif r == 2 and config.group == "orthogonal" and uniform:
-        comparator = Fraction(0) if empty else cm.variance_closed_orthogonal(*dims[0], config.n)
-        comparator_kind = "var-orth"
+    elif r == 2 and (config.group == "unitary" or uniform):
+        comparator = cm.process_covariance(config.group, config.n, *dims)
+        comparator_kind = ("var-orth" if config.group == "orthogonal"
+                           else "var0" if uniform else "cov1")
     else:
         comparator = cm.cumulant_via_moments(config.group, family)
     record = {
@@ -286,9 +283,11 @@ def _clear_exact_caches() -> None:
     wg.weingarten_table.cache_clear()
     cm._cycle_set_cumulant.cache_clear()
     cm._admissible_monomials.cache_clear()
+    cm._partition_layout.cache_clear()
     cm._coefficient_table.cache_clear()
     cm._moment_matrix.cache_clear()
     cm._block_moment.cache_clear()
+    cm._moment_weights.cache_clear()
 
 
 def _check_mobius_inversion(kmax: int):

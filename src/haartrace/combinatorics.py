@@ -248,6 +248,7 @@ def all_permutations(k: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(p) for p in itertools.permutations(range(1, k + 1)))
 
 
+@lru_cache(maxsize=None)
 def pair_orbits(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Orbits of the pairs (alpha, beta) in S_k x S_k under simultaneous conjugation.
 

@@ -23,17 +23,17 @@ trace factors, that is up to simultaneous conjugation by g in S_r: the
 relabelled pi is conjugate to pi (orthogonal: relabelling both copies of [r]
 lies in H_r, so sigma keeps its double coset), and A moves with it.  So the
 monomials are found once per conjugacy orbit of pairs (1, 4, 11 and 43 orbits
-of the 1, 4, 36 and 576 pairs at r = 1..4) and shared by the orbit.
-Evaluated at n, they give the dims-independent pair coefficients as one
-integer matrix C over a common denominator D, cached per (group, n, r), with
-one evaluation per orbit.  A family costs two trace vectors
-a_i = Tr_{alpha_i}, b_j = Tr_{beta_j} and one product kappa_r = a^T C b / D.
-Everything on this path is exact.
+of the 1, 4, 36 and 576 pairs at r = 1..4).  Tr_alpha depends only on the
+cycle partition of alpha, so at n each orbit is evaluated once into one
+integer matrix C over a common denominator D, indexed by the partitions of
+[r] (15 x 15 at r = 4) and cached per (group, n, r).  A family costs two trace
+vectors a_A, b_B on one representative permutation per partition and one
+product kappa_r = a^T C b / D.  Everything on this path is exact.
 
-An independent moment-side oracle (`mixed_trace_moment` fed through
-`classical_cumulant`) recomputes every cumulant from raw joint moments by the
-Weingarten integration formula (Collins and Sniady, CMP 264, 2006), the same
-for both groups: a block of m trace factors has the moment
+An independent moment-side oracle (`cumulant_via_moments`) recomputes every
+cumulant from raw joint moments by the Weingarten integration formula
+(Collins and Sniady, CMP 264, 2006), the same for both groups: a block of m
+trace factors has the moment
 
     E(prod_a T_{p_a, q_a}) = sum_{pi, sigma} Tr_pi(rows) Tr_sigma(cols) G^-1[pi, sigma]
 
@@ -41,8 +41,9 @@ over the pairings that index the Gram matrix G.  `gram_inverse` gives G^-1
 as integers N over one denominator D.  Tr_pi depends only on the loops of pi
 with gamma_pairing(m), a set partition of [m], so N summed over those
 partitions is one integer matrix M over the same D per (group, n, m), and a
-block costs a^T M b / D.  The two routes share only `gram_inverse`, so tests
-can compare them.
+block costs the integer a^T M b over D.  The Mobius sum over P(r) of their
+products runs in integers over one common denominator per (group, n, r).
+The two routes share only `gram_inverse`, so tests can compare them.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .combinatorics import (
     Permutation,
@@ -63,7 +64,6 @@ from .combinatorics import (
     enumerate_partitions,
     gamma_pairing,
     join,
-    mobius,
     one_partition,
     pair_orbits,
     refines,
@@ -125,9 +125,6 @@ class CumulantRequest:
             raise ValueError("order must match the number of trace factors")
 
 
-MomentFunctional = Callable[[SetPartition], Fraction]
-
-
 def projector_trace(alpha: Permutation, dims: Sequence[int]) -> int:
     """Trace of the cycle products of nested coordinate projectors.
 
@@ -140,15 +137,6 @@ def projector_trace(alpha: Permutation, dims: Sequence[int]) -> int:
     for cycle in alpha.cycles():
         out *= min(dims[a - 1] for a in cycle)
     return out
-
-
-def classical_cumulant(moments: MomentFunctional, r: int) -> Fraction:
-    """Mobius-weighted alternating sum of the moment functional over P(r)."""
-    one_r = one_partition(r)
-    return sum(
-        (mobius(c, one_r) * moments(c) for c in enumerate_partitions(r)),
-        Fraction(0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +158,10 @@ def _cycle_set_cumulant(group: str, n: int, lengths: tuple[int, ...]) -> Fractio
     of the merged cycle types.
     """
     wg = weingarten_unitary if group == "unitary" else weingarten_orthogonal
-    m = len(lengths)
     total = Fraction(0)
-    for part in enumerate_partitions(m):
-        # Mobius factor of the one-block coarsening of this grouping
-        coeff = 1
-        for i in range(1, part.num_blocks):
-            coeff *= -i
-        term = Fraction(coeff)
+    for part in enumerate_partitions(len(lengths)):
+        s = part.num_blocks  # Mobius factor of the one-block coarsening of this grouping
+        term = Fraction((-1) ** (s - 1) * math.factorial(s - 1))
         for block in part.blocks:
             merged = tuple(sorted((lengths[a - 1] for a in block), reverse=True))
             term *= wg(n, merged)
@@ -218,8 +202,8 @@ def _sigma_triple(r: int, alpha_images: tuple, beta_images: tuple, eps: tuple) -
 
 
 @lru_cache(maxsize=None)
-def _admissible_monomials(group: str, r: int) -> tuple[tuple[tuple[Fraction, tuple], ...], ...]:
-    """The n-free part of the pair coefficients: a weight and monomials per (alpha, beta).
+def _admissible_monomials(group: str, r: int) -> tuple[tuple[Fraction, tuple], ...]:
+    """The n-free part of the pair coefficients: a weight and monomials per pair orbit.
 
     The coefficient of one (alpha, beta) term sums relative cumulants C_{pi, A}
     over admissible A: groupings of the cycles of pi that join with the cycle
@@ -229,14 +213,16 @@ def _admissible_monomials(group: str, r: int) -> tuple[tuple[tuple[Fraction, tup
     A is kept as a monomial: the sorted tuple of its blocks' cycle types.
 
     Relabelling by g in S_r keeps the weight and the monomial multiset, so
-    they are built for the leader of each `pair_orbits(r)` orbit only, and
-    every pair of the orbit holds the leader's entry object.  The monomials
-    of a pair are the same multiset as its own construction would give; only
-    their order may differ.
+    entry k is built for the leader of the k-th `pair_orbits(r)` orbit only
+    and holds for every pair of that orbit.  The monomials of a pair are the
+    same multiset as its own construction would give; only their order may
+    differ.
     """
     full = one_partition(r)
-
-    def pair(alpha: Permutation, beta: Permutation) -> tuple[Fraction, tuple]:
+    perms = all_permutations(r)
+    entries = []
+    for orbit in pair_orbits(r):
+        alpha, beta = (perms[i] for i in orbit[0])
         ab = join(cycle_partition(alpha), cycle_partition(beta))
         if group == "unitary":
             pis, weight = [beta * alpha.inverse()], Fraction(1)
@@ -252,47 +238,53 @@ def _admissible_monomials(group: str, r: int) -> tuple[tuple[tuple[Fraction, tup
                 if join(SetPartition.of(r, [sum(block, ()) for block in blocks]), ab) == full:
                     monomials[tuple(sorted(tuple(sorted(map(len, block), reverse=True))
                                            for block in blocks))] += 1
-        return weight, tuple(monomials.items())
+        entries.append((weight, tuple(monomials.items())))
+    return tuple(entries)
 
-    perms = all_permutations(r)
-    table = [[None] * len(perms) for _ in perms]
-    for orbit in pair_orbits(r):
-        i, j = orbit[0]
-        entry = pair(perms[i], perms[j])
-        for i, j in orbit:
-            table[i][j] = entry
-    return tuple(map(tuple, table))
+
+@lru_cache(maxsize=None)
+def _partition_layout(r: int) -> tuple[tuple[Permutation, ...], tuple[int, ...]]:
+    """A representative permutation per partition of [r], and each permutation's partition.
+
+    Representative i has the blocks of partition i of `enumerate_partitions(r)`
+    as cycles; entry k is the index of the cycle partition of permutation k
+    of `all_permutations(r)`.
+    """
+    parts = enumerate_partitions(r)
+    return (tuple(Permutation.from_cycles(r, part.blocks) for part in parts),
+            tuple(parts.index(cycle_partition(perm)) for perm in all_permutations(r)))
 
 
 @lru_cache(maxsize=None)
 def _coefficient_table(group: str, n: int, r: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Integer matrix C and common denominator D of the pair coefficients.
 
-    Row i and column j belong to the i-th and j-th permutation of
-    `all_permutations(r)`, taken as alpha and beta respectively.  Each
+    Row A and column B belong to the A-th and B-th partition of
+    `enumerate_partitions(r)`: C[A][B] / D sums the coefficients of the pairs
+    (alpha, beta) whose cycle partitions are A and B.  Each orbit's
     (weight, monomials) entry of `_admissible_monomials` is evaluated at n
-    once: the pairs of one conjugacy orbit share one entry object, so the
-    entries are keyed by identity.
+    once and added to the cells of the orbit's pairs.
     """
-    rows = _admissible_monomials(group, r)
-    coeffs: dict[int, Fraction] = {}
-    for entry in itertools.chain.from_iterable(rows):
-        if id(entry) not in coeffs:
-            weight, monomials = entry
-            coeffs[id(entry)] = weight * sum(
-                (count * math.prod(_cycle_set_cumulant(group, n, t) for t in mono)
-                 for mono, count in monomials), Fraction(0))
-    denom = math.lcm(*(c.denominator for c in coeffs.values()))
-    scaled = {key: c.numerator * (denom // c.denominator) for key, c in coeffs.items()}
-    return tuple(tuple(scaled[id(entry)] for entry in row) for row in rows), denom
+    coeffs = [weight * sum((count * math.prod(_cycle_set_cumulant(group, n, t) for t in mono)
+                            for mono, count in monomials), Fraction(0))
+              for weight, monomials in _admissible_monomials(group, r)]
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    reps, part_of = _partition_layout(r)
+    table = [[0] * len(reps) for _ in reps]
+    for c, orbit in zip(coeffs, pair_orbits(r)):
+        scaled = c.numerator * (denom // c.denominator)
+        for i, j in orbit:
+            table[part_of[i]][part_of[j]] += scaled
+    return tuple(map(tuple, table)), denom
 
 
 def trace_cumulant(req: CumulantRequest) -> Fraction:
     """Exact order-r joint cumulant of corner traces of a Haar matrix.
 
-    kappa_r = a^T C b / D with a_i = Tr_{alpha_i}, b_j = Tr_{beta_j} of the
-    corner dimensions.  Alpha acts on the column side for unitary matrices
-    and on the row side for orthogonal ones.
+    kappa_r = a^T C b / D with a_A = Tr_{alpha_A}, b_B = Tr_{beta_B} of the
+    corner dimensions, alpha_A and beta_B the representative permutations of
+    the partitions A and B.  Alpha acts on the column side for unitary
+    matrices and on the row side for orthogonal ones.
     """
     group, fam, r = req.group, req.family, req.order
     limit = ORDER_LIMITS[group]
@@ -300,14 +292,11 @@ def trace_cumulant(req: CumulantRequest) -> Fraction:
         raise SizeLimitError(f"{group} trace cumulants limited to r <= {limit}")
     rows, cols = fam.row_dims(), fam.col_dims()
     first, second = (cols, rows) if group == "unitary" else (rows, cols)
-    perms = all_permutations(r)
-    b = [projector_trace(beta, second) for beta in perms]
+    reps, _ = _partition_layout(r)
+    b = [projector_trace(beta, second) for beta in reps]
     table, denom = _coefficient_table(group, fam.n, r)
-    total = sum(
-        (projector_trace(alpha, first) * sum(map(operator.mul, row, b))
-         for alpha, row in zip(perms, table)),
-        0,
-    )
+    total = sum(projector_trace(alpha, first) * sum(map(operator.mul, row, b))
+                for alpha, row in zip(reps, table))
     return Fraction(total, denom)
 
 
@@ -353,44 +342,56 @@ def _moment_matrix(group: str, n: int, m: int) -> tuple[tuple[tuple[int, ...], .
 
 
 @lru_cache(maxsize=None)
-def _block_moment(group: str, n: int, pq: tuple[tuple[int, int], ...]) -> Fraction:
-    """Exact E(prod_a T_{p_a, q_a}) for one block of trace factors.
+def _block_moment(group: str, n: int, pq: tuple[tuple[int, int], ...]) -> int:
+    """Exact E(prod_a T_{p_a, q_a}) for one block of m trace factors, times D_m.
 
     By the Weingarten integration formula the product of corner sums is the
     sum over pairings pi, sigma of Tr_pi(rows) Tr_sigma(cols) G^-1[pi, sigma].
     A pairing admits the indices constant on the blocks of its loop partition
     A, so Tr_pi(dims) is the product of per-block minima of dims, and the
-    moment is a^T M b / D with a_A = Tr_A(rows) and b_B = Tr_B(cols).
+    moment is a^T M b / D_m with a_A = Tr_A(rows), b_B = Tr_B(cols) and
+    `_moment_matrix(group, n, m)` = (M, D_m); a^T M b is returned.
     """
     parts = enumerate_partitions(len(pq))
     a, b = ([math.prod(min(pq[x - 1][side] for x in block) for block in part.blocks)
              for part in parts] for side in (0, 1))
-    table, denom = _moment_matrix(group, n, len(pq))
-    return Fraction(sum(x * sum(map(operator.mul, row, b)) for x, row in zip(a, table)), denom)
+    table, _ = _moment_matrix(group, n, len(pq))
+    return sum(x * sum(map(operator.mul, row, b)) for x, row in zip(a, table))
 
 
-def mixed_trace_moment(group: str, c: SetPartition, family: ProjectorFamily) -> Fraction:
-    """E_C of the corner traces: product of exact block moments.
+@lru_cache(maxsize=None)
+def _moment_weights(group: str, n: int, r: int) -> tuple[tuple[int, ...], int]:
+    """Integer weights w_c = mu(c, 1) L / prod_b D_{|b|} over L, the lcm of those products.
 
-    This is the moment-side oracle; feeding it through `classical_cumulant`
-    recomputes kappa_r without relative cumulants or the admissibility
-    filter.
+    D_m is the denominator of `_moment_matrix(group, n, m)`, and c in P(r) with
+    k blocks has mu(c, 1) = (-1)^(k-1) (k-1)!.
+    """
+    parts = enumerate_partitions(r)
+    denoms = [math.prod(_moment_matrix(group, n, len(block))[1] for block in c.blocks)
+              for c in parts]
+    common = math.lcm(*denoms)
+    return tuple((-1) ** (c.num_blocks - 1) * math.factorial(c.num_blocks - 1) * (common // d)
+                 for c, d in zip(parts, denoms)), common
+
+
+def cumulant_via_moments(group: str, family: ProjectorFamily) -> Fraction:
+    """kappa_r recomputed from raw moments (the independent verification route).
+
+    kappa_r = sum_c mu(c, 1) prod_b E_b = sum_c w_c prod_b N_b / L over c in
+    P(r), with the block numerators N_b of `_block_moment`.
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}")
     limit = ORDER_LIMITS[group]
-    if family.r > limit or c.ground_size != family.r:
+    if family.r > limit:
         raise SizeLimitError(f"mixed moments limited to r <= {limit} for {group}")
-    out = Fraction(1)
-    for block in c.blocks:
-        key = tuple(sorted(family.dims[a - 1] for a in block))
-        out *= _block_moment(group, family.n, key)
-    return out
-
-
-def cumulant_via_moments(group: str, family: ProjectorFamily) -> Fraction:
-    """kappa_r recomputed from raw moments (the independent verification route)."""
-    return classical_cumulant(lambda c: mixed_trace_moment(group, c, family), family.r)
+    weights, common = _moment_weights(group, family.n, family.r)
+    total = 0
+    for term, c in zip(weights, enumerate_partitions(family.r)):
+        for block in c.blocks:
+            term *= _block_moment(group, family.n, tuple(sorted(family.dims[a - 1] for a in block)))
+        total += term
+    return Fraction(total, common)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from collections import Counter
@@ -13,21 +14,21 @@ from haartrace.combinatorics import (
     all_permutations,
     cycle_partition,
     enumerate_partitions,
+    gamma_pairing,
     join,
     one_partition,
+    pair_orbits,
     refines,
     zero_partition,
 )
 from haartrace.cumulants import (
     CumulantRequest,
     ProjectorFamily,
-    classical_cumulant,
     covariance_closed,
     covariance_closed_orthogonal,
     cumulant_via_moments,
     fourth_central_moment,
     limit_covariance,
-    mixed_trace_moment,
     process_covariance,
     projector_trace,
     relative_cumulant,
@@ -63,50 +64,6 @@ def test_projector_trace_examples():
     assert projector_trace(swap, (4, 6, 3)) == 4 * 3
     with pytest.raises(DimensionError):
         projector_trace(ident, (1, 2))
-
-
-# ---------------------------------------------------------------------------
-# classical cumulants
-# ---------------------------------------------------------------------------
-
-def test_classical_cumulant_low_orders():
-    moments = {(): Fraction(0)}
-
-    def functional(values):
-        def f(c: SetPartition) -> Fraction:
-            out = Fraction(1)
-            for block in c.blocks:
-                key = tuple(sorted(block))
-                out *= values[key]
-            return out
-        return f
-
-    # r = 1: plain mean
-    f1 = functional({(1,): Fraction(3, 7)})
-    assert classical_cumulant(f1, 1) == Fraction(3, 7)
-    # r = 2: E(ab) - E(a)E(b)
-    vals = {(1,): Fraction(1, 2), (2,): Fraction(1, 3), (1, 2): Fraction(1, 4)}
-    f2 = functional(vals)
-    assert classical_cumulant(f2, 2) == Fraction(1, 4) - Fraction(1, 6)
-
-
-def test_classical_cumulant_of_constant_vanishes():
-    # deterministic variable a = c: every block moment is c^|block|, so
-    # E_C = c^r for all C and the Mobius weights cancel for r >= 2
-    c = Fraction(5, 3)
-
-    def moments(part: SetPartition) -> Fraction:
-        out = Fraction(1)
-        for block in part.blocks:
-            out *= c ** len(block)
-        return out
-
-    from haartrace.combinatorics import mobius
-    for r in (2, 3):
-        direct = sum(mobius(p, one_partition(r)) * moments(p)
-                     for p in enumerate_partitions(r))
-        assert direct == 0
-        assert classical_cumulant(moments, r) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -288,26 +245,50 @@ def test_order_guards():
 # oracle equivalence (moment route vs relative-cumulant route)
 # ---------------------------------------------------------------------------
 
-def test_mixed_trace_moment_examples():
-    # singleton partition: product of means
-    fam = ProjectorFamily(5, ((2, 3), (1, 4), (2, 2)))
-    assert mixed_trace_moment("unitary", zero_partition(3), fam) == \
-        Fraction(2 * 3, 5) * Fraction(1 * 4, 5) * Fraction(2 * 2, 5)
+def _block_moment(group, n, pq):
+    """E(prod_a T_{p_a, q_a}) of one block, from its integer numerator and D_m."""
+    import haartrace.cumulants as cm
+    return Fraction(cm._block_moment(group, n, tuple(sorted(pq))),
+                    cm._moment_matrix(group, n, len(pq))[1])
+
+
+def test_block_moment_examples():
+    # one factor: the mean pq/n
+    for pq in ((2, 3), (1, 4), (2, 2)):
+        assert _block_moment("unitary", 5, (pq,)) == Fraction(pq[0] * pq[1], 5)
     # E |U11|^4 at n=2 equals the uniform second moment 1/3
-    fam2 = ProjectorFamily.uniform(1, 1, 2, 2)
-    assert mixed_trace_moment("unitary", one_partition(2), fam2) == Fraction(1, 3)
+    assert _block_moment("unitary", 2, ((1, 1),) * 2) == Fraction(1, 3)
     # orthogonal: E O11^4 = 3/(n(n+2)) at n=4
-    fam3 = ProjectorFamily.uniform(1, 1, 2, 4)
-    assert mixed_trace_moment("orthogonal", one_partition(2), fam3) == Fraction(1, 8)
+    assert _block_moment("orthogonal", 4, ((1, 1),) * 2) == Fraction(1, 8)
 
 
 def test_second_moment_matches_classical_derivation():
     # E T^2 = pq ((p+q)/(n(n+1)) + (p-1)(q-1)/(n^2-1))
     for n, p, q in [(4, 2, 3), (6, 4, 4), (7, 1, 5)]:
-        fam = ProjectorFamily.uniform(p, q, 2, n)
         expected = Fraction(p * q) * (
             Fraction(p + q, n * (n + 1)) + Fraction((p - 1) * (q - 1), n * n - 1))
-        assert mixed_trace_moment("unitary", one_partition(2), fam) == expected
+        assert _block_moment("unitary", n, ((p, q),) * 2) == expected
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+def test_moment_oracle_low_orders(group):
+    # r = 1 is the mean; r = 2 is E(T T') - E(T) E(T')
+    for n, (d1, d2) in [(4, ((2, 3), (1, 4))), (5, ((1, 1), (4, 2))), (6, ((3, 3), (3, 3)))]:
+        assert cumulant_via_moments(group, ProjectorFamily(n, (d1,))) == \
+            Fraction(d1[0] * d1[1], n)
+        assert cumulant_via_moments(group, ProjectorFamily(n, (d1, d2))) == \
+            _block_moment(group, n, (d1, d2)) - \
+            _block_moment(group, n, (d1,)) * _block_moment(group, n, (d2,))
+
+
+@pytest.mark.parametrize("group, rmax", [("unitary", 4), ("orthogonal", 3)])
+def test_moment_oracle_of_a_constant_vanishes(group, rmax):
+    # a full-row or full-column corner is deterministic: every block moment
+    # of T_{n,q} is q^|block|, so the Mobius weights cancel for r >= 2
+    n = 5
+    for r in range(2, rmax + 1):
+        for p, q in ((n, 2), (3, n), (n, n)):
+            assert cumulant_via_moments(group, ProjectorFamily.uniform(p, q, r, n)) == 0
 
 
 @pytest.mark.parametrize("group,rmax", [("unitary", 3), ("orthogonal", 3)])
@@ -347,27 +328,133 @@ ORACLE_KNOWN = [
 ]
 
 
+CLOSED_ROUTE = ("_coefficient_table", "_admissible_monomials", "_partition_layout",
+                "relative_cumulant", "_cycle_set_cumulant", "trace_cumulant",
+                "trace_cumulant_unitary", "trace_cumulant_orthogonal", "_sigma_triple",
+                "pair_orbits", "projector_trace", "weingarten_unitary",
+                "weingarten_orthogonal")
+MOMENT_ORACLE = ("cumulant_via_moments", "_moment_weights", "_block_moment", "_moment_matrix")
+
+
+def _patch_to_raise(monkeypatch, names, message):
+    import haartrace.cumulants as cm
+
+    def called(*args, **kwargs):
+        raise AssertionError(message)
+
+    for name in names:
+        monkeypatch.setattr(cm, name, called)
+
+
 def test_moment_oracle_shares_no_code_with_closed_route(monkeypatch):
     import haartrace.cumulants as cm
 
-    def closed_route_called(*args, **kwargs):
-        raise AssertionError("the moment oracle reached the closed route")
-
-    for name in ("_coefficient_table", "_admissible_monomials",
-                 "relative_cumulant", "_cycle_set_cumulant", "trace_cumulant",
-                 "trace_cumulant_unitary", "trace_cumulant_orthogonal", "_sigma_triple",
-                 "pair_orbits", "projector_trace", "weingarten_unitary",
-                 "weingarten_orthogonal"):
-        monkeypatch.setattr(cm, name, closed_route_called)
-    # memoized moment matrices or block moments would hide a call
-    cm._moment_matrix.cache_clear()
-    cm._block_moment.cache_clear()
+    # memoized moment matrices, weights or block moments would hide a call
+    oracle = [cm._moment_matrix, cm._block_moment, cm._moment_weights]
+    _patch_to_raise(monkeypatch, CLOSED_ROUTE, "the moment oracle reached the closed route")
+    for cache in oracle:
+        cache.cache_clear()
     try:
         for group, n, dims, want in ORACLE_KNOWN:
             assert cumulant_via_moments(group, ProjectorFamily(n, dims)) == want
     finally:
-        cm._moment_matrix.cache_clear()
+        for cache in oracle:
+            cache.cache_clear()
+
+
+def test_closed_route_shares_no_code_with_moment_oracle(monkeypatch):
+    # the reverse direction, cold: the closed route's tables are rebuilt
+    # while every oracle name raises
+    import haartrace.cumulants as cm
+
+    closed = [cm._cycle_set_cumulant, cm._admissible_monomials, cm._partition_layout,
+              cm._coefficient_table]
+    _patch_to_raise(monkeypatch, MOMENT_ORACLE, "the closed route reached the moment oracle")
+    for cache in closed:
+        cache.cache_clear()
+    try:
+        for group, n, dims, want in ORACLE_KNOWN:
+            fam = ProjectorFamily(n, dims)
+            assert trace_cumulant(CumulantRequest(group, fam.r, fam)) == want
+    finally:
+        for cache in closed:
+            cache.cache_clear()
+
+
+def _scaled_weights(weight_factor, denom_factor):
+    """A _moment_weights mutant: every weight and the common L scaled by factors."""
+    import haartrace.cumulants as cm
+    real = cm._moment_weights
+
+    @functools.lru_cache(maxsize=None)
+    def scaled(group, n, r):
+        weights, common = real(group, n, r)
+        return tuple(w * weight_factor for w in weights), common * denom_factor
+
+    return scaled
+
+
+def test_oracle_denominator_mutant_is_caught(monkeypatch):
+    # L twice too large against the weights halves every oracle cumulant
+    import haartrace.cumulants as cm
+    monkeypatch.setattr(cm, "_moment_weights", _scaled_weights(1, 2))
+    with pytest.raises(AssertionError, match="assert Fraction"):
+        test_moment_oracle_shares_no_code_with_closed_route(monkeypatch)
+
+
+def test_oracle_common_rescaling_is_an_equivalent_mutant(monkeypatch):
+    # L and every weight scaled by one factor leave each quotient unchanged
+    import haartrace.cumulants as cm
+    monkeypatch.setattr(cm, "_moment_weights", _scaled_weights(3, 3))
+    test_moment_oracle_shares_no_code_with_closed_route(monkeypatch)
+
+
+def _moment_matrix_with_labels(restrict):
+    """A _moment_matrix mutant whose loops keep the labels restrict(block, m)."""
+    import haartrace.cumulants as cm
+
+    @functools.lru_cache(maxsize=None)
+    def mutant(group, n, m):
+        index = {part: i for i, part in enumerate(enumerate_partitions(m))}
+        gamma = gamma_pairing(m).as_partition()
+        loops = [index[SetPartition.of(m, [restrict(block, m) for block in
+                                           join(p.as_partition(), gamma).blocks])]
+                 for p in cm.pairings(group, m)]
+        inverse, denom = cm.gram_inverse(group, n, m)
+        table = [[0] * len(index) for _ in index]
+        for a, row in zip(loops, inverse):
+            for b, x in zip(loops, row):
+                table[a][b] += x
+        return tuple(map(tuple, table)), denom
+
+    return mutant
+
+
+def test_moment_matrix_label_mutant_is_caught(monkeypatch):
+    # `a < m` for `a <= m` drops label m from its loop, so the loops no
+    # longer partition [m] (at m = 1 the one loop is empty); the block-moment
+    # examples fail cold
+    import haartrace.cumulants as cm
+    monkeypatch.setattr(cm, "_moment_matrix",
+                        _moment_matrix_with_labels(lambda block, m: [a for a in block if a < m]))
+    cm._block_moment.cache_clear()
+    try:
+        with pytest.raises((IndexError, ValueError)):
+            test_block_moment_examples()
+    finally:
         cm._block_moment.cache_clear()
+
+
+@pytest.mark.parametrize("group, rmax", [("unitary", 4), ("orthogonal", 3)])
+def test_moment_matrix_barred_labels_are_an_equivalent_mutant(group, rmax):
+    # every loop holds a label a together with its barred copy m + a, since
+    # gamma_pairing(m) is one of the joined pairings, so restricting to the
+    # barred labels gives the same partitions and the same table
+    import haartrace.cumulants as cm
+    barred = _moment_matrix_with_labels(lambda block, m: [a - m for a in block if a > m])
+    for m in range(1, rmax + 1):
+        for n in (4, 7):
+            assert barred(group, n, m) == cm._moment_matrix(group, n, m)
 
 
 def _no_signs(r, alpha_images, beta_images, eps):
@@ -463,15 +550,18 @@ def _pair_monomials(group, alpha, beta):
 
 @pytest.mark.parametrize("group, rmax", [("unitary", 4), ("orthogonal", 3)])
 def test_admissible_monomials_equal_the_per_pair_reference(group, rmax):
-    # every pair, not only the orbit leaders, gets the weight and monomials
-    # of its own construction
+    # every pair of an orbit, not only its leader, gets the orbit's weight
+    # and monomials from its own construction
     import haartrace.cumulants as cm
     for r in range(1, rmax + 1):
         perms = all_permutations(r)
-        for alpha, row in zip(perms, cm._admissible_monomials(group, r)):
-            for beta, (weight, monomials) in zip(perms, row):
-                assert len(dict(monomials)) == len(monomials)
-                assert (weight, Counter(dict(monomials))) == _pair_monomials(group, alpha, beta)
+        entries = cm._admissible_monomials(group, r)
+        assert len(entries) == len(pair_orbits(r))
+        for (weight, monomials), orbit in zip(entries, pair_orbits(r)):
+            assert len(dict(monomials)) == len(monomials)
+            for i, j in orbit:
+                assert (weight, Counter(dict(monomials))) == \
+                    _pair_monomials(group, perms[i], perms[j])
 
 
 def _filtered_pair_coefficient(group, n, alpha, beta):
@@ -499,13 +589,23 @@ def _filtered_pair_coefficient(group, n, alpha, beta):
 
 @pytest.mark.parametrize("group, rmax", [("unitary", 4), ("orthogonal", 3)])
 def test_coefficient_table_equals_the_filtered_reference(group, rmax):
+    # the Bell(r) x Bell(r) table sums the per-pair coefficients over the
+    # cycle partitions of alpha and beta, whose representatives it is read with
     import haartrace.cumulants as cm
     for r in range(1, rmax + 1):
-        perms = all_permutations(r)
+        perms, parts = all_permutations(r), enumerate_partitions(r)
+        reps, _ = cm._partition_layout(r)
+        assert [cycle_partition(rep) for rep in reps] == list(parts)
+        part_of = {perm: parts.index(cycle_partition(perm)) for perm in perms}
         for n in (4, 5, 6):
-            want = [[_filtered_pair_coefficient(group, n, a, b) for b in perms] for a in perms]
+            pair = {(a, b): _filtered_pair_coefficient(group, n, a, b)
+                    for a in perms for b in perms}
+            want = [[Fraction(0)] * len(parts) for _ in parts]
+            for (a, b), c in pair.items():
+                want[part_of[a]][part_of[b]] += c
             table, denom = cm._coefficient_table(group, n, r)
-            assert denom == math.lcm(*(c.denominator for row in want for c in row))
+            assert (len(table), len(table[0])) == (len(parts), len(parts))
+            assert denom == math.lcm(*(c.denominator for c in pair.values()))
             assert [[Fraction(c, denom) for c in row] for row in table] == want
 
 

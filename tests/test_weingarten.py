@@ -118,6 +118,41 @@ def test_gram_inverse_is_integers_over_one_positive_denominator(group, orders, s
             assert is_inverse(gram(group, n, k), inverse)
 
 
+def _flipped_sign_of_d(monkeypatch, where):
+    """Flip the sign of Bareiss's d where it enters gram_inverse.
+
+    "return": `_bareiss_inverse` returns -d with its adjugate, so N / D is
+    -G^-1.  "normalization": gram_inverse divides by gcd times the opposite
+    sign of d, so both N and D change sign; N / D keeps every value and only
+    D > 0 breaks.
+    """
+    import types
+    import haartrace.weingarten as wg
+    if where == "return":
+        real = wg._bareiss_inverse
+
+        def negated_d(a):
+            adj, d = real(a)
+            return adj, -d
+
+        monkeypatch.setattr(wg, "_bareiss_inverse", negated_d)
+    else:
+        flipped = types.SimpleNamespace(**vars(math))
+        flipped.gcd = lambda *xs: -math.gcd(*xs)
+        monkeypatch.setattr(wg, "math", flipped)
+
+
+@pytest.mark.parametrize("where", ["return", "normalization"])
+def test_bareiss_sign_mutant_is_caught(monkeypatch, where):
+    _flipped_sign_of_d(monkeypatch, where)
+    gram_inverse.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            test_gram_inverse_is_integers_over_one_positive_denominator("unitary", (1, 2), (4,))
+    finally:
+        gram_inverse.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # unitary Gram and Weingarten
 # ---------------------------------------------------------------------------
