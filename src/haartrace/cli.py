@@ -278,6 +278,7 @@ def cmd_spectra(config: RunConfig) -> tuple[list[dict], int]:
 # ---------------------------------------------------------------------------
 
 def _clear_exact_caches() -> None:
+    wg._pair_types.cache_clear()
     wg._loop_exponents.cache_clear()
     wg.gram_inverse.cache_clear()
     wg.weingarten_table.cache_clear()

@@ -334,10 +334,34 @@ def perm_pairing(perm: Permutation) -> Pairing:
 
 def loop_count(p1: Pairing, p2: Pairing) -> int:
     """Number of connected components of the union multigraph of two pairings."""
+    return len(loop_type(p1, p2))
+
+
+def loop_type(p1: Pairing, p2: Pairing) -> CycleType:
+    """Half-lengths of the loops of the union of two pairings, a partition of k.
+
+    Sorted in decreasing order, like `Permutation.cycle_type`; its number of
+    parts is `loop_count(p1, p2)`.  For bipartite pairings it is the cycle
+    type of b a^-1, and on all pairings it indexes the double cosets
+    H_k \\ S_2k / H_k.
+    """
     if p1.size != p2.size:
         raise DimensionError(f"pairing sizes differ: {p1.size} vs {p2.size}")
-    links = itertools.chain(enumerate(p1.partner, 1), enumerate(p2.partner, 1))
-    return len(_connected_groups(p1.size, links))
+    a, b = p1.partner, p2.partner
+    seen = [False] * (p1.size + 1)
+    halves = []
+    for start in range(1, p1.size + 1):
+        if seen[start]:
+            continue
+        # walk the loop by alternate p1- and p2-edges, two vertices a step
+        length, x = 0, start
+        while not seen[x]:
+            y = a[x - 1]
+            seen[x] = seen[y] = True
+            x = b[y - 1]
+            length += 1
+        halves.append(length)
+    return tuple(sorted(halves, reverse=True))
 
 
 @lru_cache(maxsize=None)

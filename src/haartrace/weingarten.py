@@ -6,25 +6,30 @@ index set, weighted by the inverse of the Gram matrix
     G(p1, p2) = n ** loop(p1, p2)
 
 where loop counts the connected components of the union graph of two
-pairings.  One path, keyed by group, builds G, inverts it and reads the
-Weingarten table off the row of the reference pairing gamma; the groups
-differ only in the pairings that index G.  Unitary pairings match plain
-indices with barred ones and are parametrized by S_k, and the values depend
-only on the cycle type of sigma.  Orthogonal pairings are all pairings of
-[2k], and the values are constant on double cosets of the hyperoctahedral
-group H_k, indexed here by the cycle type extracted by :func:`sigma_of`.
+pairings.  One path, keyed by group, inverts G and reads the Weingarten
+table off the row of the reference pairing gamma; the groups differ only in
+the pairings that index G.  Unitary pairings match plain indices with
+barred ones and are parametrized by S_k, and the values depend only on the
+cycle type of sigma.  Orthogonal pairings are all pairings of [2k], and the
+values are constant on double cosets of the hyperoctahedral group H_k,
+indexed here by the cycle type extracted by :func:`sigma_of`.
 
-All arithmetic is exact and stays in integers: G is a tuple of int tuples,
-and fraction-free (Bareiss) Gauss-Jordan elimination ends at [d I | adj]
-with d = +-det and adj = d G^-1 both integer.  The inverse is kept as
+G(p1, p2) depends only on the loop type of (p1, p2), the partition of k
+formed by the half-lengths of the loops.  Functions of the loop type form a
+commutative algebra under matrix product (the class algebra of S_k, or the
+Hecke algebra of (S_2k, H_k) for orthogonal; Collins and Matsumoto 2009),
+so G^-1 is one too.  `gram_inverse` therefore solves a p(k) x p(k) integer
+system for its values on the types, by fraction-free (Bareiss) Gauss-Jordan
+elimination, and spreads them over the full matrix.  The result is kept as
 (N, D), an integer matrix over one positive denominator in lowest terms,
-and `is_inverse` checks G N = D I by integer product.  Only the Weingarten
-values and joint moments read off it are `fractions.Fraction`s.  A
-singular Gram matrix raises; no pseudo-inverse is ever attempted.
+and `is_inverse` checks G N = D I by integer product against the full G.
+Only the Weingarten values and joint moments read off it are
+`fractions.Fraction`s.  A singular Gram matrix raises; no pseudo-inverse is
+ever attempted.
 
-Loop counts do not depend on n and are memoized per (group, k); inverses and
-read-only tables are memoized per (group, n, k).  Cache entries are only
-ever written with the value they will always hold.
+Loop types and counts do not depend on n and are memoized per (group, k);
+inverses and read-only tables are memoized per (group, n, k).  Cache
+entries are only ever written with the value they will always hold.
 """
 from __future__ import annotations
 
@@ -43,7 +48,7 @@ from .combinatorics import (
     bar,
     enumerate_pairings,
     gamma_pairing,
-    loop_count,
+    loop_type,
     perm_pairing,
 )
 from .errors import SingularGramError, SizeLimitError
@@ -124,10 +129,26 @@ def pairings(group: str, k: int) -> tuple[Pairing, ...]:
 
 
 @lru_cache(maxsize=None)
+def _pair_types(group: str, k: int) -> tuple[tuple[CycleType, ...], IntMatrix]:
+    """(types, T): T[a][b] indexes loop_type(a, b) in types, over pairings(group, k).
+
+    types lists the partitions of k in their order of first appearance in
+    row 0, so types[0] = (1, ..., 1), the type of a pairing with itself.
+    Neither depends on n.
+    """
+    index = pairings(group, k)
+    types: dict[CycleType, int] = {}
+    table = tuple(tuple(types.setdefault(loop_type(p1, p2), len(types)) for p2 in index)
+                  for p1 in index)
+    return tuple(types), table
+
+
+@lru_cache(maxsize=None)
 def _loop_exponents(group: str, k: int) -> IntMatrix:
     """loop(p1, p2) over pairings(group, k): the exponents of the Gram matrix."""
-    index = pairings(group, k)
-    return tuple(tuple(loop_count(p1, p2) for p2 in index) for p1 in index)
+    types, table = _pair_types(group, k)
+    parts = [len(t) for t in types]
+    return tuple(tuple(parts[t] for t in row) for row in table)
 
 
 def gram(group: str, n: int, k: int) -> IntMatrix:
@@ -144,10 +165,29 @@ def gram_inverse(group: str, n: int, k: int) -> tuple[IntMatrix, int]:
 
     D > 0 and gcd(D, all N) = 1, so D is the least common denominator of
     the entries.  For unitary, N[a][b] / D = Wg(b a^-1).
+
+    The inverse is W[a][b] = w[type(a, b)] for a vector w over the p(k)
+    loop types.  W G is again a function of the type and every row holds
+    every type, so W G = I once it holds on row 0 at one column c_mu of each
+    type mu.  That reads M w = e_0 with M[mu][lam] the sum of G[b][c_mu]
+    over the b of type lam in row 0.  M is singular exactly when G is,
+    because the central idempotents of the type algebra are type functions.
     """
-    adj, d = _bareiss_inverse(gram(group, n, k))
-    g = math.gcd(d, *(x for row in adj for x in row)) * (1 if d > 0 else -1)
-    return tuple(tuple(x // g for x in row) for row in adj), d // g
+    types, table = _pair_types(group, k)
+    if n < 1:
+        raise ValueError(f"matrix size must be positive, got {n}")
+    powers = [n ** len(t) for t in types]
+    first = table[0]
+    m = [[0] * len(types) for _ in types]
+    for mu, m_row in enumerate(m):
+        c = first.index(mu)
+        for b, lam in enumerate(first):
+            m_row[lam] += powers[table[b][c]]
+    adj, d = _bareiss_inverse(m)
+    col = [row[0] for row in adj]  # w = adj e_0 / d
+    g = math.gcd(d, *col) * (1 if d > 0 else -1)
+    w = [x // g for x in col]
+    return tuple(tuple(w[t] for t in row) for row in table), d // g
 
 
 @lru_cache(maxsize=None)

@@ -306,6 +306,21 @@ def test_singular_gram_reported_with_location(capsys):
     assert "singular" in err and "n=2" in err and "k=4" in err
 
 
+@pytest.mark.parametrize("argv, n, k", [
+    (["weingarten", "--n", "2", "--k", "3"], 2, 3),
+    (["weingarten", "--group", "orthogonal", "--n", "1", "--k", "2"], 1, 2),
+])
+def test_singular_gram_below_order_is_usage_error(capsys, argv, n, k):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: singular Gram matrix at (n={n}, k={k}): matrix is exactly singular" in err
+
+
+def test_weingarten_zero_size_names_n(capsys):
+    assert main(["weingarten", "--n", "0", "--k", "2"]) == 2
+    assert "matrix size must be positive, got 0" in capsys.readouterr().err
+
+
 def test_worker_count_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("HAARTRACE_WORKERS", "3")
     _, text = run_cli(tmp_path, "simulate", "--n", "20", "--replicas", "110",

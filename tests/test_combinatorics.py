@@ -16,6 +16,7 @@ from haartrace.combinatorics import (
     gamma_pairing,
     join,
     loop_count,
+    loop_type,
     mobius,
     one_partition,
     pair_orbits,
@@ -289,6 +290,28 @@ def test_loop_count_symmetry_and_relabeling(seed):
         return Pairing.from_pairs(8, [(relab(a), relab(b)) for a, b in p.pairs()])
 
     assert loop_count(apply(p1), apply(p2)) == loop_count(p1, p2)
+    assert loop_type(apply(p1), apply(p2)) == loop_type(p1, p2) == loop_type(p2, p1)
+
+
+def test_loop_type_is_a_partition_of_k_with_loop_count_parts():
+    pairings = enumerate_pairings(8)
+    types = set()
+    for p1 in pairings:
+        for p2 in pairings:
+            t = loop_type(p1, p2)
+            assert sum(t) == 4 and list(t) == sorted(t, reverse=True)
+            assert len(t) == traversal_components(p1, p2)
+            types.add(t)
+    assert types == {(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)}
+    with pytest.raises(DimensionError):
+        loop_type(pairings[0], gamma_pairing(3))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_loop_type_of_bipartite_pairings_is_cycle_type(k):
+    for a in all_permutations(k):
+        for b in all_permutations(k):
+            assert loop_type(perm_pairing(a), perm_pairing(b)) == (b * a.inverse()).cycle_type()
 
 
 def test_bar_and_gamma():

@@ -121,10 +121,10 @@ def test_gram_inverse_is_integers_over_one_positive_denominator(group, orders, s
 def _flipped_sign_of_d(monkeypatch, where):
     """Flip the sign of Bareiss's d where it enters gram_inverse.
 
-    "return": `_bareiss_inverse` returns -d with its adjugate, so N / D is
-    -G^-1.  "normalization": gram_inverse divides by gcd times the opposite
-    sign of d, so both N and D change sign; N / D keeps every value and only
-    D > 0 breaks.
+    "return": `_bareiss_inverse` returns -d with its adjugate of the type
+    system, so N / D is -G^-1.  "normalization": gram_inverse reduces the
+    solution column by gcd times the opposite sign of d, so D comes out
+    negated with every N; N / D keeps every value and only D > 0 breaks.
     """
     import types
     import haartrace.weingarten as wg
@@ -174,10 +174,11 @@ def test_gram_is_n_to_the_loop_count_at_every_size(group, k):
 
 
 def test_gram_exponent_mutant_is_caught_by_verify(monkeypatch):
-    # one off-diagonal loop exponent of k = 2 one lower, for both groups.  The
-    # gram-inverse rows cannot see it: G and its inverse move together, so
-    # G N = D I still holds.  Raising [0][1] and [1][0] instead would make the
-    # unitary k = 2 matrix singular, which raises rather than tallying a row.
+    # one off-diagonal loop exponent of k = 2 one lower, for both groups.  G
+    # moves but its inverse does not, since gram_inverse solves over pair
+    # types, so each gram-inverse row fails at its one k = 2 case and the
+    # rows that read the inverse still pass.  Raising [0][1] and [1][0]
+    # instead would make the unitary k = 2 matrix singular.
     import haartrace.weingarten as wg
     from haartrace.cli import run_verification
 
@@ -194,8 +195,62 @@ def test_gram_exponent_mutant_is_caught_by_verify(monkeypatch):
     ok, rows = run_verification("quick")
     failures = {row["identity"]: row["failures"] for row in rows}
     assert not ok
-    assert (failures["weingarten-closed-forms"], failures["covariance-closed-form"]) == (10, 256)
-    assert failures["gram-inverse-unitary"] == failures["gram-inverse-orthogonal"] == 0
+    assert (failures["gram-inverse-unitary"], failures["gram-inverse-orthogonal"]) == (1, 1)
+    assert sum(failures.values()) == 2
+
+
+def test_merged_pair_types_mutant_is_caught_by_verify(monkeypatch):
+    # pair types (2, 2) and (3, 1) merged at unitary k = 4.  Both have two
+    # loops, so G keeps every entry while the type solve assumes one inverse
+    # value on both; only the gram-inverse-unitary row, which multiplies the
+    # full G by N, sees it, at each of its three k = 4 sizes.
+    import haartrace.weingarten as wg
+    from haartrace.cli import run_verification
+
+    real = wg.loop_type
+    monkeypatch.setattr(wg, "loop_type",
+                        lambda p1, p2: (3, 1) if real(p1, p2) == (2, 2) else real(p1, p2))
+    ok, rows = run_verification("default")
+    failures = {row["identity"]: row["failures"] for row in rows}
+    assert not ok
+    assert failures["gram-inverse-unitary"] == 3
+    assert sum(failures.values()) == 3
+
+
+def _reduced_bareiss_inverse(g):
+    """The full Gram inversion by Bareiss, reduced to lowest terms with D > 0."""
+    adj, d = _bareiss_inverse(g)
+    common = math.gcd(d, *(x for row in adj for x in row)) * (1 if d > 0 else -1)
+    return tuple(tuple(x // common for x in row) for row in adj), d // common
+
+
+@pytest.mark.parametrize("group, k", [(group, k) for group, limit in ORDER_LIMITS.items()
+                                      for k in range(1, limit + 1)])
+def test_gram_inverse_equals_full_bareiss_reference(group, k):
+    for n in range(1, 13):
+        try:
+            reference = _reduced_bareiss_inverse(gram(group, n, k))
+        except SingularGramError:
+            with pytest.raises(SingularGramError):
+                gram_inverse(group, n, k)
+            continue
+        assert gram_inverse(group, n, k) == reference
+
+
+def test_type_solve_is_p_of_k_square(monkeypatch):
+    import haartrace.weingarten as wg
+
+    sizes = []
+    real = wg._bareiss_inverse
+    monkeypatch.setattr(wg, "_bareiss_inverse", lambda a: sizes.append(len(a)) or real(a))
+    gram_inverse.cache_clear()
+    try:
+        for group, limit in ORDER_LIMITS.items():
+            for k in range(1, limit + 1):
+                gram_inverse(group, 7, k)
+    finally:
+        gram_inverse.cache_clear()
+    assert sizes == [1, 2, 3, 5, 1, 2, 3]
 
 
 def test_gram_unitary_matches_loop_oracle():
