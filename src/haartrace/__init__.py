@@ -18,7 +18,6 @@ from .combinatorics import (
     enumerate_pairings,
     enumerate_partitions,
     join,
-    loop_count,
     mobius,
     one_partition,
     refines,
@@ -34,7 +33,6 @@ from .cumulants import (
     limit_covariance,
     process_covariance,
     projector_trace,
-    relative_cumulant,
     trace_cumulant,
     trace_cumulant_orthogonal,
     trace_cumulant_unitary,
@@ -46,8 +44,6 @@ from .empirics import (
     KStats,
     KestenMcKay,
     SpectralHistogram,
-    TraceField,
-    block_increment,
     covariance_mc,
     increment_fourth_moment_fit,
     kesten_mckay,

@@ -294,11 +294,14 @@ def _clear_exact_caches() -> None:
 def _check_mobius_inversion(kmax: int):
     for k in range(1, kmax + 1):
         parts = comb.enumerate_partitions(k)
-        for b in parts:
-            below_b = [c for c in parts if comb.refines(c, b)]
-            for a in below_b:
-                total = sum(comb.mobius(c, b) for c in below_b if comb.refines(a, c))
-                yield total == (1 if a == b else 0), f"k={k} A={a} B={b} sum={total}"
+        # below[j]: the indices of the partitions that refine partition j, in order
+        below = [[i for i, c in enumerate(parts) if comb.refines(c, b)] for b in parts]
+        down = [set(ids) for ids in below]
+        for j, b in enumerate(parts):
+            mu = {c: comb.mobius(parts[c], b) for c in below[j]}
+            for a in below[j]:
+                total = sum(m for c, m in mu.items() if a in down[c])
+                yield total == (1 if a == j else 0), f"k={k} A={parts[a]} B={b} sum={total}"
 
 
 def _check_gram_inverse(group: str, orders: list[int], sizes: list[int]):

@@ -332,18 +332,13 @@ def perm_pairing(perm: Permutation) -> Pairing:
     return Pairing.from_pairs(2 * k, [(i, k + perm(i)) for i in range(1, k + 1)])
 
 
-def loop_count(p1: Pairing, p2: Pairing) -> int:
-    """Number of connected components of the union multigraph of two pairings."""
-    return len(loop_type(p1, p2))
-
-
 def loop_type(p1: Pairing, p2: Pairing) -> CycleType:
     """Half-lengths of the loops of the union of two pairings, a partition of k.
 
     Sorted in decreasing order, like `Permutation.cycle_type`; its number of
-    parts is `loop_count(p1, p2)`.  For bipartite pairings it is the cycle
-    type of b a^-1, and on all pairings it indexes the double cosets
-    H_k \\ S_2k / H_k.
+    parts is the number of loops, the connected components of the union
+    multigraph.  For bipartite pairings it is the cycle type of b a^-1, and
+    on all pairings it indexes the double cosets H_k \\ S_2k / H_k.
     """
     if p1.size != p2.size:
         raise DimensionError(f"pairing sizes differ: {p1.size} vs {p2.size}")

@@ -66,9 +66,8 @@ from .combinatorics import (
     join,
     one_partition,
     pair_orbits,
-    refines,
 )
-from .errors import DimensionError, OrderViolationError, SizeLimitError
+from .errors import DimensionError, SizeLimitError
 from .weingarten import (
     ORDER_LIMITS,
     gram_inverse,
@@ -143,19 +142,16 @@ def projector_trace(alpha: Permutation, dims: Sequence[int]) -> int:
 # Relative cumulants of the Weingarten functions
 # ---------------------------------------------------------------------------
 
-def _restriction_type(pi: Permutation, block: Sequence[int]) -> tuple[int, ...]:
-    """Cycle type of pi restricted to a pi-invariant block."""
-    inside = set(block)
-    return tuple(sorted((len(c) for c in pi.cycles() if c[0] in inside), reverse=True))
-
-
 @lru_cache(maxsize=None)
 def _cycle_set_cumulant(group: str, n: int, lengths: tuple[int, ...]) -> Fraction:
     """Combinatorial cumulant of Weingarten values over a multiset of cycles.
 
     Sums over set partitions of the given cycles; each grouping contributes
     the Mobius factor (-1)^(s-1)(s-1)! times the product of Weingarten values
-    of the merged cycle types.
+    of the merged cycle types.  The relative cumulant C_{pi, A}, the Mobius
+    inversion of block products of Weingarten values along [0_pi, A], is the
+    product of this value over the blocks of A, each at the lengths of the
+    cycles of pi inside it.
     """
     wg = weingarten_unitary if group == "unitary" else weingarten_orthogonal
     total = Fraction(0)
@@ -167,27 +163,6 @@ def _cycle_set_cumulant(group: str, n: int, lengths: tuple[int, ...]) -> Fractio
             term *= wg(n, merged)
         total += term
     return total
-
-
-def relative_cumulant(group: str, pi: Permutation, a: SetPartition, n: int) -> Fraction:
-    """Relative cumulant C_{pi, A} of the group's Weingarten function.
-
-    Defined by the Mobius inversion of block products of Weingarten values
-    along the interval [0_pi, A]; it factorizes over the blocks of A.  For
-    the orthogonal group pi is the double-coset representative sigma.
-    """
-    limit = ORDER_LIMITS[group]
-    if pi.size > limit:
-        raise SizeLimitError(f"{group} relative cumulants limited to r <= {limit}")
-    if a.ground_size != pi.size:
-        raise DimensionError("partition and permutation sizes differ")
-    if not refines(cycle_partition(pi), a):
-        raise OrderViolationError("partition must coarsen the cycle partition")
-    out = Fraction(1)
-    for block in a.blocks:
-        lengths = _restriction_type(pi, block)
-        out *= _cycle_set_cumulant(group, n, lengths)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +383,7 @@ def _check_dims(n: int, *dims: int) -> None:
 
 def variance_closed(p: int, q: int, n: int) -> Fraction:
     """Exact variance of the unitary corner trace T_{p,q}."""
-    _check_dims(n, p, q)
-    return Fraction(p * q * (n * n - n * (p + q) + p * q), n * n * (n * n - 1))
+    return covariance_closed(p, q, p, q, n)
 
 
 def covariance_closed(p: int, q: int, p2: int, q2: int, n: int) -> Fraction:

@@ -5,7 +5,7 @@ of a sampled matrix.  The replica pipelines read only the corners they need
 from each stack of sampled blocks (`corner_traces`), and sample only the
 block that spans the corners strictly inside the matrix; T on a side of 0
 or n is exact.  The pointwise functions below read one matrix through its
-full 2D prefix-sum grid (`TraceField`).  The centered process is
+full 2D prefix-sum grid (`trace_field`).  The centered process is
 
     W(s, t) = T_{floor(ns), floor(nt)} - floor(ns) floor(nt) / n
 
@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, InsufficientReplicasError, OrderViolationError
+from .errors import DimensionError, InsufficientReplicasError
 from .sampling import map_replicas
 
 GridPoint = tuple[float, float]
@@ -35,24 +35,17 @@ GridPoint = tuple[float, float]
 # Trace fields and the centered process
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceField:
-    """Prefix sums of squared entry moduli; cell (p, q) holds T_{p,q}."""
-
-    n: int
-    cumulative: np.ndarray  # ([k,] n+1, q+1) for the leading q <= n columns; row/col 0 are zero
-
-    def corner(self, p: int, q: int) -> float:
-        return float(self.cumulative[p, q])
-
-
 def _squared_moduli(m: np.ndarray, n: int) -> np.ndarray:
     """|m|^2, in extended precision from n = 1000 on, where float64 sums lose T_{n,n} = n."""
     return (np.abs(m) ** 2).astype(np.longdouble if n >= 1000 else np.float64, copy=False)
 
 
-def trace_field(m: np.ndarray) -> TraceField:
-    """Prefix-sum grid of an n x q block (q <= n) or of each in a (k, n, q) stack."""
+def trace_field(m: np.ndarray) -> np.ndarray:
+    """Prefix-sum grid of an n x q block (q <= n) or of each in a (k, n, q) stack.
+
+    A float64 array of shape ([k,] n+1, q+1) whose cell (p, q) holds T_{p,q};
+    row and column 0 are zero.
+    """
     m = np.asarray(m)
     if m.ndim not in (2, 3):
         raise DimensionError(f"expected a block or a stack of blocks, got shape {m.shape}")
@@ -64,7 +57,7 @@ def trace_field(m: np.ndarray) -> TraceField:
     np.cumsum(weights, axis=-2, out=weights)
     np.cumsum(weights, axis=-1, out=weights)
     cum[..., 1:, 1:] = weights
-    return TraceField(n, cum.astype(np.float64, copy=False))
+    return cum.astype(np.float64, copy=False)
 
 
 def corner_traces(n: int, ps, qs) -> tuple[Callable[[np.ndarray], np.ndarray], int, int]:
@@ -107,29 +100,19 @@ def floor_index(n: int, x: float | Fraction) -> int:
     return min(n, max(0, math.floor(n * x)))
 
 
-def process_value(f: TraceField, s: float, t: float) -> float:
-    """Centered process W(s,t); right-continuous step interpolation.
+def process_value(f: np.ndarray, s: float, t: float) -> float:
+    """Centered process W(s,t) of the `trace_field` f of one n x q block.
 
-    W vanishes identically on the axes and on the lines s = 1 and t = 1
+    Right-continuous step interpolation, with n read from f's rows.  W
+    vanishes identically on the axes and on the lines s = 1 and t = 1
     (T_{n,q} = q and T_{p,n} = p); there the value is an exact 0, not the
     rounding noise of the sampled corner.
     """
-    p, q = floor_index(f.n, s), floor_index(f.n, t)
-    if f.n in (p, q):
+    n = f.shape[0] - 1
+    p, q = floor_index(n, s), floor_index(n, t)
+    if n in (p, q):
         return 0.0
-    return f.corner(p, q) - p * q / f.n
-
-
-def block_increment(f: TraceField, s: float, s2: float, t: float, t2: float) -> float:
-    """Increment of W around the block (s, s2] x (t, t2]."""
-    if s > s2 or t > t2:
-        raise OrderViolationError("block corners must satisfy s <= s2 and t <= t2")
-    p1, p2 = floor_index(f.n, s), floor_index(f.n, s2)
-    q1, q2 = floor_index(f.n, t), floor_index(f.n, t2)
-    if p1 == p2 or q1 == q2:
-        return 0.0
-    raw = (f.corner(p2, q2) - f.corner(p2, q1) - f.corner(p1, q2) + f.corner(p1, q1))
-    return raw - (p2 - p1) * (q2 - q1) / f.n
+    return float(f[p, q]) - p * q / n
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +420,7 @@ def increment_fourth_moment_fit(group: str, n: int, replicas: int, master_seed: 
                                           np.concatenate([q2, q1, q2, q1]))
 
     def increments(stack: np.ndarray) -> np.ndarray:
-        # `block_increment` at every block, in its order of operations
+        # T at the block's corners (p2, q2) - (p2, q1) - (p1, q2) + (p1, q1), less its centring
         t = traces(stack).reshape(len(stack), 4, -1)
         return t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3] - centre
 

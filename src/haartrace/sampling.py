@@ -58,10 +58,11 @@ each state into the chunk's one Generator through `bit_generator.state`.
 Pool threads run chunks concurrently, so a Generator never leaves its
 chunk.  Seeding costs 5 us per replica in chunks of 36 and more, and about
 what `default_rng` costs in chunks of one.  The entropy is the master's
-words (one below 2^32, two up to 2^64) followed by the index's, so the port
-covers every master `SeedSpec` accepts for indices below 2^32; a chunk
-reaching index 2^32, which only `haar_sample(..., SeedSpec(m, i))` can ask
-for, keeps `SeedSpec.rng()`.
+words (one below 2^32, two up to 2^64) followed by the index's low and high
+words.  The pool holds four words and `SeedSequence` hashes an unused one
+as 0, so an index below 2^32, whose entropy has no high word, mixes the
+same as with a zero high word: the port covers every master and index that
+`SeedSpec` accepts.
 
 Under Householder QR the first q columns of Q depend only on the first q
 Gaussian columns (Mezzadri, Notices AMS 54, 2007), and so does R.  A
@@ -102,10 +103,9 @@ _SQRT_HALF = 1 / np.sqrt(2.0)
 class SeedSpec:
     """Deterministic address of one replica's random stream.
 
-    The stream is `rng()`, `default_rng((master_seed, replica_index))`.  The
-    engine seeds its replicas in one batched pass to the same states
-    (`_seed_words`, `_replica_rngs`) and calls `rng()` itself only from
-    index 2^32 on.
+    The stream is `rng()`, `default_rng((master_seed, replica_index))`, both
+    below 2^64.  The engine seeds its replicas in one batched pass to the
+    same states (`_seed_words`, `_replica_rngs`).
     """
 
     master_seed: int
@@ -115,8 +115,9 @@ class SeedSpec:
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(
                 f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}")
-        if self.replica_index < 0:
-            raise ValueError("replica_index must be non-negative")
+        if not 0 <= self.replica_index < 2**64:
+            raise ValueError(
+                f"replica_index must be an unsigned 64-bit integer, got {self.replica_index}")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng((self.master_seed, self.replica_index))
@@ -159,7 +160,7 @@ def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
 
 
 def _seed_words(master_seed: int, indices: range) -> np.ndarray:
-    """`SeedSequence((master_seed, i)).generate_state(4, np.uint64)`, one row per index < 2^32.
+    """`SeedSequence((master_seed, i)).generate_state(4, np.uint64)`, one row per index < 2^64.
 
     All rows in one pass of uint32 numpy arithmetic.
     """
@@ -168,7 +169,8 @@ def _seed_words(master_seed: int, indices: range) -> np.ndarray:
     words = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
     pool = np.zeros((len(indices), 4), dtype=np.uint32)  # the entropy, zero-padded
     pool[:, :len(words)] = words
-    pool[:, len(words)] = indices
+    index = np.arange(len(indices), dtype=np.uint64) + indices.start
+    pool[:, len(words):len(words) + 2] = index.astype("<u8").view("<u4").reshape(-1, 2)
     pool = _hashmix(pool, mixing[:5])
     for src in range(4):  # word src mixes into the 3 others, one hash call each
         dst = [d for d in range(4) if d != src]
@@ -181,20 +183,12 @@ def _seed_words(master_seed: int, indices: range) -> np.ndarray:
     return _hashmix(np.tile(pool, 2), output).astype("<u4").view("<u8")
 
 
-def _replica_rngs(master_seed: int, indices: range,
-                  words: np.ndarray | None = None) -> Iterator[np.random.Generator]:
-    """Yield, per index, a Generator in the state of `SeedSpec(master_seed, i).rng()`.
+def _replica_rngs(words: np.ndarray) -> Iterator[np.random.Generator]:
+    """One Generator per row of `_seed_words(m, indices)`, in the state of `SeedSpec(m, i).rng()`.
 
-    `words` are the indices' `_seed_words`, computed here if not given.
-    Below index 2^32 the same Generator is reseeded for each index, so draw
-    from it before taking the next one, and keep it to the calling thread.
+    The same Generator is reseeded for each row, so draw from it before
+    taking the next one, and keep it to the calling thread.
     """
-    if indices.stop > 2**32:  # the index takes two entropy words
-        for idx in indices:
-            yield SeedSpec(master_seed, idx).rng()
-        return
-    if words is None:
-        words = _seed_words(master_seed, indices)
     rng = np.random.default_rng(0)
     bit_generator = rng.bit_generator
     for s_hi, s_lo, i_hi, i_lo in words.tolist():
@@ -248,13 +242,10 @@ def _gauge_fix(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return q * phase[..., None, :]
 
 
-def _haar_stack(group: str, n: int, master_seed: int, indices: range,
-                columns: int | None, rows: int | None = None,
-                r_only: tuple[Callable, Callable] | None = None,
-                words: np.ndarray | None = None) -> np.ndarray:
-    """Leading `rows` x `columns` of the replicas `indices`, each from its own stream, stacked.
-
-    `words` are the indices' `_seed_words`, if already computed.
+def _haar_stack(group: str, n: int, words: np.ndarray, columns: int | None,
+                rows: int | None = None,
+                r_only: tuple[Callable, Callable] | None = None) -> np.ndarray:
+    """Leading `rows` x `columns` of the replicas whose `_seed_words` rows are `words`, stacked.
 
     Without `r_only` this is Householder Q with the gauge fix.  With the
     `(qr_r, solve)` of `_r_only_calls`, each G's R alone is computed and
@@ -262,8 +253,8 @@ def _haar_stack(group: str, n: int, master_seed: int, indices: range,
     rows, each column still carrying R's phase.
     """
     cols, dtype = _block(group, n, columns)
-    z = np.empty((len(indices), n, cols), dtype=dtype)
-    for k, rng in enumerate(_replica_rngs(master_seed, indices, words)):
+    z = np.empty((len(words), n, cols), dtype=dtype)
+    for k, rng in enumerate(_replica_rngs(words)):
         _ginibre(rng, z[k])
     if r_only is not None:
         qr_r, solve = r_only
@@ -278,8 +269,8 @@ def _haar_stack(group: str, n: int, master_seed: int, indices: range,
 def haar_sample(group: str, n: int, seed, columns: int | None = None) -> np.ndarray:
     """Leading `columns` (default all n) of one Haar n x n matrix: the engine at k = 1."""
     seed = _as_seed(seed)
-    index = seed.replica_index
-    return _haar_stack(group, n, seed.master_seed, range(index, index + 1), columns)[0]
+    i = seed.replica_index
+    return _haar_stack(group, n, _seed_words(seed.master_seed, range(i, i + 1)), columns)[0]
 
 
 def map_replicas(group: str, n: int, replicas: int, master_seed: int,
@@ -305,13 +296,11 @@ def map_replicas(group: str, n: int, replicas: int, master_seed: int,
     r_only = _r_only_calls() if rows < n and step == 1 else None
     # every replica's seed words in one pass: a pass per chunk costs about
     # 0.1 ms, more than it saves on chunks of a few replicas (n of 46 and up)
-    words = _seed_words(master_seed, range(min(replicas, 2**32)))
+    words = _seed_words(master_seed, range(replicas))
     keep_sample_memory()
 
     def compute(lo: int) -> np.ndarray:
-        indices = range(lo, min(lo + step, replicas))
-        return stack_fn(_haar_stack(group, n, master_seed, indices, columns, rows, r_only,
-                                    words[lo:lo + step]))
+        return stack_fn(_haar_stack(group, n, words[lo:lo + step], columns, rows, r_only))
 
     # BLAS runs on one thread for every worker count: OpenBLAS's threaded
     # kernels round differently from its serial ones (at n = 400, say), so a

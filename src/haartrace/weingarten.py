@@ -38,7 +38,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .combinatorics import (
     CycleType,
@@ -275,20 +275,14 @@ def sigma_of(big_sigma: Permutation) -> Permutation:
 # Weingarten values and joint entry moments
 # ---------------------------------------------------------------------------
 
-def weingarten_unitary(n: int, sigma: Union[Permutation, CycleType]) -> Fraction:
-    """Exact unitary Weingarten value W(n, sigma); class function of sigma."""
-    key = sigma.cycle_type() if isinstance(sigma, Permutation) else tuple(sigma)
-    return weingarten_table("unitary", n, sum(key))[key]
+def weingarten_unitary(n: int, sigma: CycleType) -> Fraction:
+    """Exact unitary Weingarten value W(n, sigma), keyed by the cycle type of sigma."""
+    return weingarten_table("unitary", n, sum(sigma))[tuple(sigma)]
 
 
-def weingarten_orthogonal(n: int, key: Union[Permutation, CycleType]) -> Fraction:
-    """Orthogonal Weingarten value, keyed by the double-coset invariant.
-
-    Accepts either a permutation of [2k] (reduced through sigma_of) or the
-    cycle type of the extracted representative directly.
-    """
-    coset = sigma_of(key).cycle_type() if isinstance(key, Permutation) else tuple(key)
-    return weingarten_table("orthogonal", n, sum(coset))[coset]
+def weingarten_orthogonal(n: int, key: CycleType) -> Fraction:
+    """Orthogonal Weingarten value at the double-coset invariant: the cycle type of `sigma_of`."""
+    return weingarten_table("orthogonal", n, sum(key))[tuple(key)]
 
 
 def joint_moment(group: str, i: Sequence[int], j: Sequence[int], n: int) -> Fraction:

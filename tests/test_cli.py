@@ -387,7 +387,7 @@ def test_simulate_floors_decimal_grid_values_exactly(tmp_path):
     assert cov["limit"] == limit_covariance(0.29, 0.29, 0.29, 0.29, 2)
     # the leading 29 rows and columns, sampled by the route the command takes
     values = map_replicas("unitary", 100, 100, 4,
-                          lambda z: trace_field(z).cumulative[:, 29, 29:30] - 29 * 29 / 100,
+                          lambda z: trace_field(z)[:, 29, 29:30] - 29 * 29 / 100,
                           columns=29, rows=29)
     assert cov["estimate"] == float(covariance_mc(values)[0][0, 0])
 

@@ -31,12 +31,11 @@ from haartrace.cumulants import (
     limit_covariance,
     process_covariance,
     projector_trace,
-    relative_cumulant,
     trace_cumulant,
     variance_closed,
     variance_closed_orthogonal,
 )
-from haartrace.errors import DimensionError, OrderViolationError, SizeLimitError
+from haartrace.errors import DimensionError, SizeLimitError
 from haartrace.sampling import haar_batch
 from haartrace.weingarten import (
     sigma_of,
@@ -70,15 +69,30 @@ def test_projector_trace_examples():
 # relative cumulants
 # ---------------------------------------------------------------------------
 
+def _cycle_type_inside(pi, block):
+    """Cycle type of pi restricted to a pi-invariant block."""
+    inside = set(block)
+    return tuple(sorted((len(cy) for cy in pi.cycles() if cy[0] in inside), reverse=True))
+
+
+def _relative_cumulant(group, pi, a, n):
+    """C_{pi, A}: the product over the blocks of A of `_cycle_set_cumulant`
+    at the cycle type of pi inside the block."""
+    import haartrace.cumulants as cm
+    assert refines(cycle_partition(pi), a)
+    return math.prod((cm._cycle_set_cumulant(group, n, _cycle_type_inside(pi, block))
+                      for block in a.blocks), start=Fraction(1))
+
+
 def test_relative_cumulants_order_two_values():
     for n in (2, 3, 6):
         ident = Permutation.identity(2)
         swap = Permutation.from_cycles(2, [(1, 2)])
-        assert relative_cumulant("unitary", swap, one_partition(2), n) == \
+        assert _relative_cumulant("unitary", swap, one_partition(2), n) == \
             Fraction(-1, n * (n * n - 1))
-        assert relative_cumulant("unitary", ident, one_partition(2), n) == \
+        assert _relative_cumulant("unitary", ident, one_partition(2), n) == \
             Fraction(1, n * n * (n * n - 1))
-        assert relative_cumulant("unitary", ident, zero_partition(2), n) == Fraction(1, n * n)
+        assert _relative_cumulant("unitary", ident, zero_partition(2), n) == Fraction(1, n * n)
 
 
 def test_relative_cumulant_at_cycle_partition_is_weingarten_product():
@@ -88,23 +102,13 @@ def test_relative_cumulant_at_cycle_partition_is_weingarten_product():
         expected = Fraction(1)
         for cyc in pi.cycles():
             expected *= weingarten_unitary(n, (len(cyc),))
-        assert relative_cumulant("unitary", pi, pipart, n) == expected
-
-
-def test_relative_cumulant_order_violation():
-    swap = Permutation.from_cycles(2, [(1, 2)])
-    with pytest.raises(OrderViolationError):
-        relative_cumulant("unitary", swap, zero_partition(2), 5)
+        assert _relative_cumulant("unitary", pi, pipart, n) == expected
 
 
 def _restricted_weingarten_product(group, pi, c, n):
     wg = weingarten_unitary if group == "unitary" else weingarten_orthogonal
-    out = Fraction(1)
-    for block in c.blocks:
-        inside = set(block)
-        lengths = tuple(sorted((len(cy) for cy in pi.cycles() if cy[0] in inside), reverse=True))
-        out *= wg(n, lengths)
-    return out
+    return math.prod((wg(n, _cycle_type_inside(pi, block)) for block in c.blocks),
+                     start=Fraction(1))
 
 
 @pytest.mark.parametrize("group,n", [("unitary", 6), ("orthogonal", 8)])
@@ -117,7 +121,7 @@ def test_relative_cumulants_invert_back_to_weingarten_products(group, n):
             if not refines(pipart, c):
                 continue
             total = sum(
-                (relative_cumulant(group, pi, a, n) for a in enumerate_partitions(3)
+                (_relative_cumulant(group, pi, a, n) for a in enumerate_partitions(3)
                  if refines(pipart, a) and refines(a, c)),
                 Fraction(0),
             )
@@ -127,9 +131,9 @@ def test_relative_cumulants_invert_back_to_weingarten_products(group, n):
 def test_relative_cumulant_orthogonal_small_values():
     for n in (4, 7):
         ident1 = Permutation.identity(1)
-        assert relative_cumulant("orthogonal", ident1, one_partition(1), n) == Fraction(1, n)
+        assert _relative_cumulant("orthogonal", ident1, one_partition(1), n) == Fraction(1, n)
         ident2 = Permutation.identity(2)
-        assert relative_cumulant("orthogonal", ident2, zero_partition(2), n) == Fraction(1, n * n)
+        assert _relative_cumulant("orthogonal", ident2, zero_partition(2), n) == Fraction(1, n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +333,7 @@ ORACLE_KNOWN = [
 
 
 CLOSED_ROUTE = ("_coefficient_table", "_admissible_monomials", "_partition_layout",
-                "relative_cumulant", "_cycle_set_cumulant", "trace_cumulant",
+                "_cycle_set_cumulant", "trace_cumulant",
                 "trace_cumulant_unitary", "trace_cumulant_orthogonal", "_sigma_triple",
                 "pair_orbits", "projector_trace", "weingarten_unitary",
                 "weingarten_orthogonal")
@@ -581,7 +585,7 @@ def _filtered_pair_coefficient(group, n, alpha, beta):
         pis = [cm._sigma_triple(r, alpha.images, beta.images, eps)
                for eps in itertools.product((1, -1), repeat=r)]
         weight = Fraction(2 ** r, 2 ** (alpha.num_cycles + beta.num_cycles))
-    return weight * sum((cm.relative_cumulant(group, pi, a, n)
+    return weight * sum((_relative_cumulant(group, pi, a, n)
                          for pi in pis for a in enumerate_partitions(r)
                          if refines(cycle_partition(pi), a) and join(a, ab) == one_partition(r)),
                         Fraction(0))

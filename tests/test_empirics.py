@@ -7,7 +7,6 @@ import pytest
 
 from haartrace.cumulants import variance_closed, variance_closed_orthogonal
 from haartrace.empirics import (
-    block_increment,
     corner_traces,
     covariance_mc,
     floor_index,
@@ -19,11 +18,7 @@ from haartrace.empirics import (
     spectral_compare,
     trace_field,
 )
-from haartrace.errors import (
-    DimensionError,
-    InsufficientReplicasError,
-    OrderViolationError,
-)
+from haartrace.errors import DimensionError, InsufficientReplicasError
 from haartrace.sampling import SeedSpec, haar_sample, map_replicas
 
 
@@ -33,25 +28,26 @@ from haartrace.sampling import SeedSpec, haar_sample, map_replicas
 
 def test_trace_field_identity_matrix():
     f = trace_field(np.eye(6))
+    assert f.shape == (7, 7) and f.dtype == np.float64
     for p in range(7):
         for q in range(7):
-            assert f.corner(p, q) == min(p, q)
+            assert f[p, q] == min(p, q)
 
 
 def test_trace_field_rotation():
     th = 0.37
     rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     f = trace_field(rot)
-    assert f.corner(1, 1) == pytest.approx(math.cos(th) ** 2, abs=1e-15)
-    assert f.corner(2, 2) == pytest.approx(2.0, abs=1e-12)
+    assert f[1, 1] == pytest.approx(math.cos(th) ** 2, abs=1e-15)
+    assert f[2, 2] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_trace_field_haar_unit_rows():
     for group in ("unitary", "orthogonal"):
         f = trace_field(haar_sample(group, 80, SeedSpec(5)))
-        assert abs(f.corner(80, 80) - 80) < 1e-10
-        assert np.all(np.diff(f.cumulative, axis=0) >= -1e-14)
-        assert np.all(np.diff(f.cumulative, axis=1) >= -1e-14)
+        assert abs(f[80, 80] - 80) < 1e-10
+        assert np.all(np.diff(f, axis=0) >= -1e-14)
+        assert np.all(np.diff(f, axis=1) >= -1e-14)
 
 
 def test_trace_field_requires_square():
@@ -75,7 +71,7 @@ def test_corner_traces_read_trace_field_inside_and_min_on_the_sides(dtype, k, n,
     read, rows, columns = corner_traces(n, ps, qs)
     traces = read(stack)
     assert traces.shape == (k, len(ps)) and traces.dtype == np.float64
-    field = trace_field(stack).cumulative
+    field = trace_field(stack)
     assert np.array_equal(traces[:, inside], field[:, ps[inside], qs[inside]])
     assert np.array_equal(traces[:, ~inside], np.tile(np.minimum(ps, qs)[~inside], (k, 1)))
     # the leading block up to the tallest and widest corner inside, as the pipelines sample
@@ -129,24 +125,11 @@ def test_floor_index_rounding_mutant_is_caught(monkeypatch):
         test_process_value_floor_convention()
 
 
-def test_block_increment_examples():
-    f = trace_field(haar_sample("unitary", 30, SeedSpec(10)))
-    assert block_increment(f, 0.4, 0.4, 0.1, 0.9) == 0.0
-    assert abs(block_increment(f, 0.0, 1.0, 0.0, 1.0)) < 1e-10
-    # additivity: stacked blocks sum to the union block
-    top = block_increment(f, 0.2, 0.5, 0.1, 0.4)
-    bottom = block_increment(f, 0.5, 0.8, 0.1, 0.4)
-    union = block_increment(f, 0.2, 0.8, 0.1, 0.4)
-    assert top + bottom == pytest.approx(union, abs=1e-12)
-    with pytest.raises(OrderViolationError):
-        block_increment(f, 0.6, 0.4, 0.1, 0.2)
-
-
 def _uniform_lln_deviation(n, seed):
     """max over the full grid of |T_{p,q}/n - pq/n^2| for one Haar sample."""
-    cumulative = trace_field(haar_sample("unitary", n, seed)).cumulative
+    field = trace_field(haar_sample("unitary", n, seed))
     target = np.outer(np.arange(n + 1), np.arange(n + 1)) / (n * n)
-    return float(np.max(np.abs(cumulative / n - target)))
+    return float(np.max(np.abs(field / n - target)))
 
 
 def test_uniform_lln_decreases_on_matched_seeds():
@@ -437,7 +420,7 @@ def test_increment_fit_reads_exact_boundary_of_leading_block(group):
          for lev, i, j, _, _ in fit.blocks]).T
 
     def increments(stack):  # the full square, sampled corners throughout
-        c = trace_field(stack).cumulative
+        c = trace_field(stack)
         return (c[:, p2, q2] - c[:, p2, q1] - c[:, p1, q2] + c[:, p1, q1]
                 - (p2 - p1) * (q2 - q1) / n)
 

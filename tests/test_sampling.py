@@ -29,8 +29,10 @@ from haartrace.sampling import (
 def test_seedspec_validation():
     with pytest.raises(ValueError):
         SeedSpec(-1)
-    with pytest.raises(ValueError):
-        SeedSpec(0, -2)
+    with pytest.raises(ValueError, match="-1"):
+        SeedSpec(0, -1)
+    with pytest.raises(ValueError, match=str(2**64)):
+        SeedSpec(0, 2**64)
     with pytest.raises(ValueError):
         haar_sample("unitary", 0, SeedSpec(1))
 
@@ -287,7 +289,7 @@ def test_replica_loop_reuses_its_freed_arrays(workers):
         pytest.skip("the C library has no mallopt")
 
     def rows(z):
-        return trace_field(z).cumulative[:, -1, -1:]
+        return trace_field(z)[:, -1, -1:]
 
     def faults(replicas):  # minor page faults of one call
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -525,9 +527,11 @@ def test_importing_the_package_resolves_no_trsm_symbol():
 @pytest.mark.parametrize("master", [0, 1, 2027, 2**32 - 1, 2**32, 2**64 - 1])
 def test_batched_seeding_draws_equal_numpy_default_rng(master):
     # a numpy upgrade that changed SeedSequence or PCG64 seeding fails here;
-    # 35 and 36 straddle the first chunk boundary at n = 16, 14 real columns
-    for indices in (range(0, 37), range(2**32 - 2, 2**32)):
-        for idx, rng in zip(indices, sampling._replica_rngs(master, indices), strict=True):
+    # 35 and 36 straddle the first chunk boundary at n = 16, 14 real columns,
+    # and the index takes a second entropy word from 2^32 on
+    for indices in (range(0, 37), range(2**32 - 2, 2**32 + 2), range(2**64 - 3, 2**64)):
+        words = sampling._seed_words(master, indices)
+        for idx, rng in zip(indices, sampling._replica_rngs(words), strict=True):
             want = np.random.default_rng((master, idx)).standard_normal(64)
             assert np.array_equal(rng.standard_normal(64), want), (master, idx)
 
@@ -585,14 +589,8 @@ def test_engine_rows_equal_numpy_seeded_reference(group, n, replicas, rows, colu
         assert np.array_equal(haar_batch(group, n, replicas, 2027), got)
 
 
-def test_index_from_two_to_the_32_keeps_seedspec_rng(monkeypatch):
-    # the port mixes one index word and such an index takes two, so it keeps
-    # numpy's own seeding and must not reach the port
-    seed = SeedSpec(7, 2**32)
-    want = _gauge_fixed_qr(_numpy_draw("unitary", 4, 4, seed.rng()), 4)
-
-    def refuse(*_):
-        raise AssertionError("the batched port was used for an index >= 2**32")
-
-    monkeypatch.setattr(sampling, "_seed_words", refuse)
-    assert np.array_equal(haar_sample("unitary", 4, seed), want)
+def test_index_from_two_to_the_32_equals_numpy_seeded_reference():
+    # such an index takes two entropy words; the port writes the high word
+    # even when it is 0, which SeedSequence mixes as its padding
+    want = _gauge_fixed_qr(_numpy_draw("unitary", 4, 4, np.random.default_rng((7, 2**32))), 4)
+    assert np.array_equal(haar_sample("unitary", 4, SeedSpec(7, 2**32)), want)
