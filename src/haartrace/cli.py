@@ -278,6 +278,7 @@ def cmd_spectra(config: RunConfig) -> tuple[list[dict], int]:
 # ---------------------------------------------------------------------------
 
 def _clear_exact_caches() -> None:
+    wg.pairings.cache_clear()
     wg._pair_types.cache_clear()
     wg._loop_exponents.cache_clear()
     wg.gram_inverse.cache_clear()
@@ -516,6 +517,10 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: {config.command} ran out of memory at n={config.n} "
+              f"with {config.replicas} replicas", file=sys.stderr)
         return 2
     _write_report(config, records, started)
     if args.command == "simulate":

@@ -201,22 +201,24 @@ def _replica_rngs(words: np.ndarray) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def _ginibre(rng: np.random.Generator, out: np.ndarray) -> None:
+def _ginibre(rng: np.random.Generator, draw: np.ndarray, out: np.ndarray) -> None:
     """Write the leading columns of one n x n Gaussian draw into the n x columns `out`.
 
-    The draw itself is always full.  A complex entry is (re + i im) / sqrt(2),
-    written as two products by 1/sqrt(2) with no temporaries: numpy divides a
-    complex number by a real one as a product with the reciprocal, so this is
-    the same bit for bit.
+    The draw itself is always full: one `standard_normal` call fills the
+    (planes, n, n) buffer `draw`, one plane for a real matrix and two, real
+    then imaginary, for a complex one, which is the stream of one (n, n)
+    call per plane.  A complex entry is (re + i im) / sqrt(2), written by one
+    product by 1/sqrt(2) into the (2, n, columns) float view of `out`:
+    numpy divides a complex number by a real one as a product with the
+    reciprocal, so this is the same bit for bit.
     """
+    rng.standard_normal(out=draw)
     n, columns = out.shape
     if out.dtype.kind == "c":
-        re = rng.standard_normal((n, n))
-        im = rng.standard_normal((n, n))
-        np.multiply(re[:, :columns], _SQRT_HALF, out=out.real)
-        np.multiply(im[:, :columns], _SQRT_HALF, out=out.imag)
+        planes = out.view(np.float64).reshape(n, columns, 2).transpose(2, 0, 1)
+        np.multiply(draw[:, :, :columns], _SQRT_HALF, out=planes)
     else:
-        out[...] = rng.standard_normal((n, n))[:, :columns]
+        out[...] = draw[0, :, :columns]
 
 
 def _block(group: str, n: int, columns: int | None) -> tuple[int, np.dtype]:
@@ -254,8 +256,10 @@ def _haar_stack(group: str, n: int, words: np.ndarray, columns: int | None,
     """
     cols, dtype = _block(group, n, columns)
     z = np.empty((len(words), n, cols), dtype=dtype)
+    draw = np.empty((2 if dtype.kind == "c" else 1, n, n))
     for k, rng in enumerate(_replica_rngs(words)):
-        _ginibre(rng, z[k])
+        _ginibre(rng, draw, z[k])
+    del draw  # freed before the QR, as the per-replica draws were: 2.6 MB at n = 400
     if r_only is not None:
         qr_r, solve = r_only
         x = z[:, :rows].copy()  # the solve is in place; a view would overwrite G

@@ -113,6 +113,7 @@ def is_inverse(a: Sequence[Sequence[int]], inverse: tuple[Sequence[Sequence[int]
 # Gram matrix, its inverse and the Weingarten table, keyed by group
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def pairings(group: str, k: int) -> tuple[Pairing, ...]:
     """The pairings of [2k] that index the group's order-k Gram matrix.
 

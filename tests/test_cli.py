@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -439,6 +444,56 @@ def test_bad_output_path_is_usage_error_before_any_work(where, tmp_path, monkeyp
         err = capsys.readouterr().err
         assert repr(path) in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def test_out_of_memory_is_usage_error_naming_the_size(monkeypatch, capsys):
+    monkeypatch.setattr(empirics, "map_replicas", _out_of_memory)
+    assert main(["simulate", "--n", "100000", "--replicas", "100", "--grid", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "simulate" in err and "n=100000" in err and "100 replicas" in err
+    assert "Traceback" not in err
+
+
+# the Monte Carlo names that `haartrace` re-exports, by defining module
+_DEFERRED_NAMES = {
+    "sampling": ("SeedSpec", "haar_batch", "haar_sample", "orthonormality_residual"),
+    "empirics": ("IncrementFit", "KStats", "KestenMcKay", "SpectralHistogram",
+                 "covariance_mc", "increment_fourth_moment_fit", "kesten_mckay",
+                 "kstat_estimators", "process_value", "sample_process_values",
+                 "spectral_compare", "trace_field"),
+}
+
+
+def test_exact_commands_run_without_numpy(tmp_path):
+    # a fresh process: this one imported numpy long ago.  The Monte Carlo
+    # modules must still be in `sys.modules` for lookups by name, and every
+    # re-exported name must be its module's object once read
+    code = textwrap.dedent(f"""
+        import sys
+        import haartrace
+        import haartrace.cli as cli
+        for argv in (["weingarten", "--n", "4", "--k", "3"],
+                     ["cumulant", "--n", "4", "--dims", "2:3,2:3"],
+                     ["verify", "--scope", "quick"]):
+            assert cli.main([*argv, "--output", {str(tmp_path / "report.json")!r}]) == 0, argv
+        assert "numpy" not in sys.modules, "numpy imported"
+        assert {{"haartrace.sampling", "haartrace.empirics"}} <= set(sys.modules)
+        haartrace.SeedSpec
+        for module, names in {_DEFERRED_NAMES!r}.items():
+            for name in names:
+                assert getattr(haartrace, name) is getattr(
+                    sys.modules["haartrace." + module], name), name
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_simulate_rejects_zero_size_before_sampling(monkeypatch, capsys):

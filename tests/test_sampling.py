@@ -312,11 +312,13 @@ def test_replica_loop_reuses_its_freed_arrays(workers):
 @pytest.mark.parametrize("n", [8, 400])
 def test_complex_draw_written_in_place_equals_the_quotient(n):
     # numpy divides a complex number by a real one as a product with the
-    # reciprocal, so the in-place products are the old quotient bit for bit
+    # reciprocal, so the in-place products are the old quotient bit for bit;
+    # one draw buffer serves every replica
+    draw = np.empty((2, n, n))
     for seed in range(5):
         for q in sorted({1, n // 2, n}):
             out = np.empty((n, q), dtype=np.complex128)
-            _ginibre(SeedSpec(seed, n).rng(), out)
+            _ginibre(SeedSpec(seed, n).rng(), draw, out)
             rng = SeedSpec(seed, n).rng()
             re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
             assert np.array_equal(out, (re[:, :q] + 1j * im[:, :q]) / np.sqrt(2.0))
