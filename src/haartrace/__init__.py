@@ -40,7 +40,6 @@ from .cumulants import (
     fourth_central_moment,
     limit_covariance,
     process_covariance,
-    projector_trace,
     trace_cumulant,
     trace_cumulant_orthogonal,
     trace_cumulant_unitary,

@@ -278,18 +278,12 @@ def cmd_spectra(config: RunConfig) -> tuple[list[dict], int]:
 # ---------------------------------------------------------------------------
 
 def _clear_exact_caches() -> None:
-    wg.pairings.cache_clear()
-    wg._pair_types.cache_clear()
-    wg._loop_exponents.cache_clear()
-    wg.gram_inverse.cache_clear()
-    wg.weingarten_table.cache_clear()
-    cm._cycle_set_cumulant.cache_clear()
-    cm._admissible_monomials.cache_clear()
-    cm._partition_layout.cache_clear()
-    cm._coefficient_table.cache_clear()
-    cm._moment_matrix.cache_clear()
-    cm._block_moment.cache_clear()
-    cm._moment_weights.cache_clear()
+    # every memoized function defined in `weingarten` or `cumulants`; the
+    # `combinatorics` caches do not depend on n and stay warm
+    for mod in (wg, cm):
+        for fn in vars(mod).values():
+            if hasattr(fn, "cache_clear") and getattr(fn, "__module__", None) == mod.__name__:
+                fn.cache_clear()
 
 
 def _check_mobius_inversion(kmax: int):
@@ -518,8 +512,10 @@ def main(argv=None) -> int:
     except (ValueError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
-        print(f"error: {config.command} ran out of memory at n={config.n} "
+    except (MemoryError, OverflowError) as exc:
+        # numpy raises OverflowError for a size or index that no C integer holds
+        problem = "ran out of memory" if isinstance(exc, MemoryError) else "has sizes too large"
+        print(f"error: {config.command} {problem} at n={config.n} "
               f"with {config.replicas} replicas", file=sys.stderr)
         return 2
     _write_report(config, records, started)

@@ -27,8 +27,9 @@ of the 1, 4, 36 and 576 pairs at r = 1..4).  Tr_alpha depends only on the
 cycle partition of alpha, so at n each orbit is evaluated once into one
 integer matrix C over a common denominator D, indexed by the partitions of
 [r] (15 x 15 at r = 4) and cached per (group, n, r).  A family costs two trace
-vectors a_A, b_B on one representative permutation per partition and one
-product kappa_r = a^T C b / D.  Everything on this path is exact.
+vectors a_A, b_B, each entry the product over the blocks of the partition of
+the smallest corner side, and one product kappa_r = a^T C b / D.  Everything
+on this path is exact.
 
 An independent moment-side oracle (`cumulant_via_moments`) recomputes every
 cumulant from raw joint moments by the Weingarten integration formula
@@ -54,7 +55,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .combinatorics import (
     Permutation,
@@ -104,12 +104,6 @@ class ProjectorFamily:
     def r(self) -> int:
         return len(self.dims)
 
-    def row_dims(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.dims)
-
-    def col_dims(self) -> tuple[int, ...]:
-        return tuple(q for _, q in self.dims)
-
 
 @dataclass(frozen=True)
 class CumulantRequest:
@@ -122,20 +116,6 @@ class CumulantRequest:
             raise ValueError(f"group must be one of {GROUPS}")
         if self.order != self.family.r:
             raise ValueError("order must match the number of trace factors")
-
-
-def projector_trace(alpha: Permutation, dims: Sequence[int]) -> int:
-    """Trace of the cycle products of nested coordinate projectors.
-
-    A cycle of projectors I_{d_1} ... I_{d_m} multiplies to the projector of
-    the smallest rank, so the trace over each cycle is the cycle minimum.
-    """
-    if len(dims) != alpha.size:
-        raise DimensionError("one dimension per ground element required")
-    out = 1
-    for cycle in alpha.cycles():
-        out *= min(dims[a - 1] for a in cycle)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +149,8 @@ def _cycle_set_cumulant(group: str, n: int, lengths: tuple[int, ...]) -> Fractio
 # Trace cumulants: the closed double-sum route
 # ---------------------------------------------------------------------------
 
-def _sigma_triple(r: int, alpha_images: tuple, beta_images: tuple, eps: tuple) -> Permutation:
-    alpha = Permutation(alpha_images)
-    beta = Permutation(beta_images)
-    big = t_of_perm(alpha.inverse()) * tau_of_signs(eps) * t_of_perm(beta)
-    return sigma_of(big)
+def _sigma_triple(alpha: Permutation, beta: Permutation, eps: tuple) -> Permutation:
+    return sigma_of(t_of_perm(alpha.inverse()) * tau_of_signs(eps) * t_of_perm(beta))
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +179,7 @@ def _admissible_monomials(group: str, r: int) -> tuple[tuple[Fraction, tuple], .
         if group == "unitary":
             pis, weight = [beta * alpha.inverse()], Fraction(1)
         else:
-            pis = [_sigma_triple(r, alpha.images, beta.images, eps)
+            pis = [_sigma_triple(alpha, beta, eps)
                    for eps in itertools.product((1, -1), repeat=r)]
             weight = Fraction(2 ** r, 2 ** (alpha.num_cycles + beta.num_cycles))
         monomials: Counter = Counter()
@@ -215,19 +192,6 @@ def _admissible_monomials(group: str, r: int) -> tuple[tuple[Fraction, tuple], .
                                            for block in blocks))] += 1
         entries.append((weight, tuple(monomials.items())))
     return tuple(entries)
-
-
-@lru_cache(maxsize=None)
-def _partition_layout(r: int) -> tuple[tuple[Permutation, ...], tuple[int, ...]]:
-    """A representative permutation per partition of [r], and each permutation's partition.
-
-    Representative i has the blocks of partition i of `enumerate_partitions(r)`
-    as cycles; entry k is the index of the cycle partition of permutation k
-    of `all_permutations(r)`.
-    """
-    parts = enumerate_partitions(r)
-    return (tuple(Permutation.from_cycles(r, part.blocks) for part in parts),
-            tuple(parts.index(cycle_partition(perm)) for perm in all_permutations(r)))
 
 
 @lru_cache(maxsize=None)
@@ -244,8 +208,9 @@ def _coefficient_table(group: str, n: int, r: int) -> tuple[tuple[tuple[int, ...
                             for mono, count in monomials), Fraction(0))
               for weight, monomials in _admissible_monomials(group, r)]
     denom = math.lcm(*(c.denominator for c in coeffs))
-    reps, part_of = _partition_layout(r)
-    table = [[0] * len(reps) for _ in reps]
+    parts = enumerate_partitions(r)
+    part_of = [parts.index(cycle_partition(perm)) for perm in all_permutations(r)]
+    table = [[0] * len(parts) for _ in parts]
     for c, orbit in zip(coeffs, pair_orbits(r)):
         scaled = c.numerator * (denom // c.denominator)
         for i, j in orbit:
@@ -256,22 +221,22 @@ def _coefficient_table(group: str, n: int, r: int) -> tuple[tuple[tuple[int, ...
 def trace_cumulant(req: CumulantRequest) -> Fraction:
     """Exact order-r joint cumulant of corner traces of a Haar matrix.
 
-    kappa_r = a^T C b / D with a_A = Tr_{alpha_A}, b_B = Tr_{beta_B} of the
-    corner dimensions, alpha_A and beta_B the representative permutations of
-    the partitions A and B.  Alpha acts on the column side for unitary
-    matrices and on the row side for orthogonal ones.
+    kappa_r = a^T C b / D over the partitions A, B of [r].  A cycle of
+    nested coordinate projectors multiplies to the one of smallest rank, so
+    Tr_alpha of a permutation with cycle partition A is a_A, the product over
+    the blocks of A of the smallest corner side; b_B likewise.  Alpha reads
+    the column sides for unitary matrices and the row sides for orthogonal
+    ones.
     """
     group, fam, r = req.group, req.family, req.order
     limit = ORDER_LIMITS[group]
     if not 1 <= r <= limit:
         raise SizeLimitError(f"{group} trace cumulants limited to r <= {limit}")
-    rows, cols = fam.row_dims(), fam.col_dims()
-    first, second = (cols, rows) if group == "unitary" else (rows, cols)
-    reps, _ = _partition_layout(r)
-    b = [projector_trace(beta, second) for beta in reps]
+    parts = enumerate_partitions(r)
+    a, b = ([math.prod(min(fam.dims[x - 1][side] for x in block) for block in part.blocks)
+             for part in parts] for side in ((1, 0) if group == "unitary" else (0, 1)))
     table, denom = _coefficient_table(group, fam.n, r)
-    total = sum(projector_trace(alpha, first) * sum(map(operator.mul, row, b))
-                for alpha, row in zip(reps, table))
+    total = sum(x * sum(map(operator.mul, row, b)) for x, row in zip(a, table))
     return Fraction(total, denom)
 
 

@@ -148,7 +148,6 @@ def sample_process_values(group: str, n: int, grid_points: Sequence[GridPoint],
 class KStats:
     """Unbiased cumulant estimates of orders 2..4 with jackknife SEs."""
 
-    count: int
     k2: float
     k3: float
     k4: float
@@ -190,7 +189,7 @@ def kstat_estimators(values: Sequence[float]) -> KStats:
         math.sqrt(max(0.0, (n - 1) / n * np.sum((j - j.mean()) ** 2)))
         for j in (j2, j3, j4)
     ]
-    return KStats(n, float(k2), float(k3), float(k4), *ses)
+    return KStats(float(k2), float(k3), float(k4), *ses)
 
 
 def check_covariance_replicas(replicas: int) -> None:
@@ -383,10 +382,6 @@ class IncrementFit:
     integer sides.
     """
 
-    group: str
-    n: int
-    replicas: int
-    levels: tuple[int, ...]
     blocks: tuple[tuple[int, int, int, int, int], ...]  # (level, i, j, dp, dq)
     fourth_moments: np.ndarray
     fourth_moment_ses: np.ndarray
@@ -433,7 +428,6 @@ def increment_fourth_moment_fit(group: str, n: int, replicas: int, master_seed: 
     scale = np.array([float(n) ** 4 / (dp * dp * dq * dq) for (_, _, _, dp, dq) in blocks])
     ratios = fourth * scale
     return IncrementFit(
-        group=group, n=n, replicas=replicas, levels=levels,
         blocks=tuple(blocks), fourth_moments=fourth, fourth_moment_ses=ses,
         ratios=ratios, c_max=float(ratios.max()),
     )

@@ -27,8 +27,7 @@ Only the Weingarten values and joint moments read off it are
 `fractions.Fraction`s.  A singular Gram matrix raises; no pseudo-inverse is
 ever attempted.
 
-Loop types and counts do not depend on n and are memoized per (group, k);
-inverses and read-only tables are memoized per (group, n, k).  Cache
+Inverses and read-only tables are memoized per (group, n, k).  Cache
 entries are only ever written with the value they will always hold.
 """
 from __future__ import annotations
@@ -144,20 +143,13 @@ def _pair_types(group: str, k: int) -> tuple[tuple[CycleType, ...], IntMatrix]:
     return tuple(types), table
 
 
-@lru_cache(maxsize=None)
-def _loop_exponents(group: str, k: int) -> IntMatrix:
-    """loop(p1, p2) over pairings(group, k): the exponents of the Gram matrix."""
-    types, table = _pair_types(group, k)
-    parts = [len(t) for t in types]
-    return tuple(tuple(parts[t] for t in row) for row in table)
-
-
 def gram(group: str, n: int, k: int) -> IntMatrix:
     """Gram matrix n^loop(p1, p2) over pairings(group, k)."""
-    exponents = _loop_exponents(group, k)
+    types, table = _pair_types(group, k)
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
-    return tuple(tuple(n ** e for e in row) for row in exponents)
+    powers = [n ** len(t) for t in types]
+    return tuple(tuple(powers[t] for t in row) for row in table)
 
 
 @lru_cache(maxsize=None)

@@ -458,6 +458,29 @@ def test_out_of_memory_is_usage_error_naming_the_size(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, n, replicas", [
+    (["simulate", "--n", "4", "--replicas", str(10**19), "--grid", "0.5"], 4, 10**19),
+    (["spectra", "--n", "4", "--s", "1/2", "--t", "1/2", "--replicas", str(10**19)], 4, 10**19),
+    (["simulate", "--n", str(10**20 - 1), "--replicas", "100", "--grid", "0.5"], 10**20 - 1, 100),
+], ids=["simulate-replicas", "spectra-replicas", "simulate-n"])
+def test_oversized_run_is_usage_error_naming_the_size(argv, n, replicas, monkeypatch, capsys):
+    # numpy cannot size the seed words or the corner indices; the run stops
+    # there, before any Gaussian block is drawn or any array is allocated
+    import tracemalloc
+    from haartrace import sampling
+    monkeypatch.setattr(sampling, "_haar_stack", _no_sampling)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert f"error: {argv[0]} has sizes too large at n={n} with {replicas} replicas" in err
+    assert "Traceback" not in err
+    assert peak < 2**20
+
+
 # the Monte Carlo names that `haartrace` re-exports, by defining module
 _DEFERRED_NAMES = {
     "sampling": ("SeedSpec", "haar_batch", "haar_sample", "orthonormality_residual"),
