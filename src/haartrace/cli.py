@@ -28,7 +28,7 @@ from . import combinatorics as comb
 from . import cumulants as cm
 from . import empirics as emp
 from . import weingarten as wg
-from .errors import SingularGramError, SizeLimitError
+from .errors import SingularGramError
 
 
 @dataclass
@@ -361,7 +361,7 @@ def _check_variance_orthogonal(sizes: list[int]):
             for q in range(1, n + 1):
                 fam = cm.ProjectorFamily.uniform(p, q, 2, n)
                 got = cm.trace_cumulant_orthogonal(cm.CumulantRequest("orthogonal", 2, fam))
-                yield got == cm.variance_closed_orthogonal(p, q, n), f"n={n} ({p},{q})"
+                yield got == cm.covariance_closed_orthogonal(p, q, p, q, n), f"n={n} ({p},{q})"
 
 
 def run_verification(scope: str = "default"):
@@ -509,7 +509,7 @@ def main(argv=None) -> int:
         print(f"error: singular Gram matrix at (n={config.n}, k={config.k or config.r}): {exc}",
               file=sys.stderr)
         return 2
-    except (ValueError, SizeLimitError) as exc:
+    except ValueError as exc:  # SizeLimitError and the other input errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, OverflowError) as exc:

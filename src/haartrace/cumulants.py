@@ -346,11 +346,6 @@ def _check_dims(n: int, *dims: int) -> None:
             raise DimensionError(f"corner dimension {d} outside [1,{n}]")
 
 
-def variance_closed(p: int, q: int, n: int) -> Fraction:
-    """Exact variance of the unitary corner trace T_{p,q}."""
-    return covariance_closed(p, q, p, q, n)
-
-
 def covariance_closed(p: int, q: int, p2: int, q2: int, n: int) -> Fraction:
     """Exact covariance of unitary corner traces T_{p,q} and T_{p2,q2}.
 
@@ -390,11 +385,6 @@ def process_covariance(group: str, n: int, d1: tuple[int, int], d2: tuple[int, i
         return Fraction(0)
     closed = covariance_closed if group == "unitary" else covariance_closed_orthogonal
     return closed(*d1, *d2, n)
-
-
-def variance_closed_orthogonal(p: int, q: int, n: int) -> Fraction:
-    """Exact variance of the orthogonal corner trace T_{p,q}."""
-    return covariance_closed_orthogonal(p, q, p, q, n)
 
 
 def limit_covariance(s: float, t: float, s2: float, t2: float, beta: int) -> float:
@@ -438,7 +428,7 @@ def fourth_central_moment(p: int, q: int, n: int, group: str = "unitary") -> Fra
         kappa4 = trace_cumulant_unitary(
             CumulantRequest("unitary", 4, ProjectorFamily.uniform(p, q, 4, n))
         )
-        kappa2 = variance_closed(p, q, n)
+        kappa2 = covariance_closed(p, q, p, q, n)
         return kappa4 + 3 * kappa2 * kappa2
     if p == n - 1 and p != 1:
         p = n - p  # row complement: T_{p,q} is q minus a copy of T_{n-p,q}

@@ -29,6 +29,10 @@ from .errors import DimensionError, InsufficientReplicasError
 from .sampling import map_replicas
 
 GridPoint = tuple[float, float]
+# Each bin's reference mass is one quadrature of about 20 us, so the largest
+# histogram takes about 20 s; far larger ones would fail in numpy only after
+# the replicas were sampled, with messages that name no value.
+_MAX_BINS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +335,8 @@ def spectral_compare(n: int, s: float, t: float, replicas: int, master_seed: int
     violations only set a warning flag, the computation proceeds.  The
     corner is floored exactly when s and t are Fractions.
     """
-    if bins < 1:
-        raise ValueError(f"bins must be at least 1, got {bins}")
+    if not 1 <= bins <= _MAX_BINS:
+        raise ValueError(f"bins must lie in [1, {_MAX_BINS}], got {bins}")
     if replicas < 2:
         raise InsufficientReplicasError(
             f"spectra needs at least 2 replicas for the standard error of the "

@@ -17,8 +17,8 @@ over chunks.  The block comes by one of two routes:
 - Householder, the default: one stacked QR, the gauge fix, and Q's leading
   rows.  Stacked QR runs the same LAPACK calls on each matrix as a single
   QR, so a replica is bitwise the same for any chunk size or worker count;
-  `haar_sample` is the engine at k = 1 and `haar_batch` the engine with the
-  identity stack function.
+  `haar_sample` is the engine at k = 1, on one BLAS thread as well, and
+  `map_replicas` with the identity stack function gives whole replicas.
 - R alone, when a chunk holds one replica and fewer than n rows are read.
   With G = QR, Q's leading rows are G[:rows] R^-1, so R from LAPACK
   `geqrf` and one triangular solve (CBLAS `trsm`), both called in numpy's
@@ -85,6 +85,7 @@ import contextlib
 import ctypes
 import functools
 import glob
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -97,6 +98,9 @@ from .errors import DimensionError, InsufficientReplicasError
 _CHUNK_BYTES = 64 << 10
 _DTYPE = {"unitary": np.dtype(np.complex128), "orthogonal": np.dtype(np.float64)}
 _SQRT_HALF = 1 / np.sqrt(2.0)
+# The largest n whose (2, n, n) float64 draw numpy can size at all; above it
+# numpy's own errors ("Maximum allowed dimension exceeded") name no value.
+_MAX_N = math.isqrt(np.iinfo(np.intp).max // 16)
 
 
 @dataclass(frozen=True)
@@ -121,10 +125,6 @@ class SeedSpec:
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng((self.master_seed, self.replica_index))
-
-
-def _as_seed(seed) -> SeedSpec:
-    return seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
 
 
 # numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding constants
@@ -227,6 +227,8 @@ def _block(group: str, n: int, columns: int | None) -> tuple[int, np.dtype]:
         raise ValueError(f"unknown group {group!r}")
     if n < 1:
         raise ValueError(f"matrix size must be positive, got {n}")
+    if n > _MAX_N:
+        raise ValueError(f"matrix size must be at most {_MAX_N} to be sampled, got {n}")
     columns = n if columns is None else columns
     if not 1 <= columns <= n:
         raise ValueError(f"columns must lie in [1, {n}], got {columns}")
@@ -270,11 +272,12 @@ def _haar_stack(group: str, n: int, words: np.ndarray, columns: int | None,
     return _gauge_fix(q[:, :rows], r)
 
 
-def haar_sample(group: str, n: int, seed, columns: int | None = None) -> np.ndarray:
+def haar_sample(group: str, n: int, seed: SeedSpec, columns: int | None = None) -> np.ndarray:
     """Leading `columns` (default all n) of one Haar n x n matrix: the engine at k = 1."""
-    seed = _as_seed(seed)
     i = seed.replica_index
-    return _haar_stack(group, n, _seed_words(seed.master_seed, range(i, i + 1)), columns)[0]
+    words = _seed_words(seed.master_seed, range(i, i + 1))
+    with single_threaded_blas():  # as `map_replicas`: threaded BLAS rounds differently
+        return _haar_stack(group, n, words, columns)[0]
 
 
 def map_replicas(group: str, n: int, replicas: int, master_seed: int,
@@ -319,11 +322,6 @@ def map_replicas(group: str, n: int, replicas: int, master_seed: int,
             for lo, chunk in zip(rest, (pool.map if pool else map)(compute, rest)):
                 out[lo:lo + step] = chunk
     return out
-
-
-def haar_batch(group: str, n: int, count: int, master_seed: int) -> np.ndarray:
-    """(count, n, n) stack of replicas 0 .. count-1, equal to `haar_sample`'s."""
-    return map_replicas(group, n, count, master_seed, lambda z: z)
 
 
 @functools.lru_cache(maxsize=1)

@@ -52,7 +52,6 @@ from .combinatorics import (
 )
 from .errors import SingularGramError, SizeLimitError
 
-SignVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
 # Largest order k each group's Gram matrix is built for.
@@ -221,7 +220,7 @@ def t_of_perm(pi: Permutation) -> Permutation:
     return Permutation(tuple(range(1, k + 1)) + tuple(k + pi(i) for i in range(1, k + 1)))
 
 
-def tau_of_signs(eps: SignVector) -> Permutation:
+def tau_of_signs(eps: tuple[int, ...]) -> Permutation:
     """Product of the transpositions (i, bar i) at the -1 coordinates."""
     k = len(eps)
     if any(e not in (-1, 1) for e in eps):

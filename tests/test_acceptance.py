@@ -24,12 +24,11 @@ from haartrace.cumulants import (
     CumulantRequest,
     ProjectorFamily,
     covariance_closed,
+    covariance_closed_orthogonal,
     cumulant_via_moments,
     limit_covariance,
     trace_cumulant,
     trace_cumulant_orthogonal,
-    variance_closed,
-    variance_closed_orthogonal,
 )
 from haartrace.empirics import (
     covariance_mc,
@@ -40,8 +39,8 @@ from haartrace.empirics import (
 )
 from haartrace.sampling import (
     SeedSpec,
-    haar_batch,
     haar_sample,
+    map_replicas,
     orthonormality_residual,
 )
 from haartrace.weingarten import (
@@ -179,7 +178,7 @@ def test_criterion_04_closed_forms(announce):
             for q in range(1, n + 1):
                 fam = ProjectorFamily.uniform(p, q, 2, n)
                 assert trace_cumulant(CumulantRequest("orthogonal", 2, fam)) == \
-                    variance_closed_orthogonal(p, q, n)
+                    covariance_closed_orthogonal(p, q, p, q, n)
                 checked += 1
     announce(f"ACCEPTANCE 04 PASS closed-form covariance/variance formulas, "
              f"{checked} dimension tuples, exact")
@@ -266,8 +265,8 @@ def test_criterion_06_mc_variance(announce):
         vals = sample_process_values(group, 200, [(0.5, 0.5)], 10_000, master_seed=seed,
                                      workers=2)
         ks = kstat_estimators(vals[:, 0])
-        exact = float(variance_closed(100, 100, 200) if group == "unitary"
-                      else variance_closed_orthogonal(100, 100, 200))
+        exact = float(covariance_closed(100, 100, 100, 100, 200) if group == "unitary"
+                      else covariance_closed_orthogonal(100, 100, 100, 100, 200))
         z = abs(ks.k2 - exact) / ks.se2
         assert z <= 3.0, (group, ks.k2, exact, ks.se2)
         report.append(f"{group}: k2={ks.k2:.5f} exact={exact:.5f} |z|={z:.2f}")
@@ -317,8 +316,8 @@ def test_criterion_08_gaussianity(announce, bridge_values_unitary,
     for group, values in (("unitary", bridge_values_unitary),
                           ("orthogonal", bridge_values_orthogonal)):
         w = values[:, center]
-        exact_var = (variance_closed(200, 200, BRIDGE_N) if group == "unitary"
-                     else variance_closed_orthogonal(200, 200, BRIDGE_N))
+        exact_var = (covariance_closed(200, 200, 200, 200, BRIDGE_N) if group == "unitary"
+                     else covariance_closed_orthogonal(200, 200, 200, 200, BRIDGE_N))
         ks_test = stats.kstest(w / math.sqrt(float(exact_var)), "norm")
         assert ks_test.pvalue > 0.01, (group, ks_test.pvalue)
         ks = kstat_estimators(w)
@@ -366,7 +365,7 @@ def test_criterion_10_spectral_limit(announce):
 # -- criterion 11 ------------------------------------------------------------
 
 def test_criterion_11_sampler_correctness(announce):
-    x = np.abs(haar_batch("unitary", 8, 100_000, master_seed=1101)[:, 0, 0]) ** 2
+    x = np.abs(map_replicas("unitary", 8, 100_000, 1101, lambda z: z)[:, 0, 0]) ** 2
     ks = stats.kstest(x, stats.beta(1, 7).cdf)
     assert ks.pvalue > 0.01
     worst = 0.0

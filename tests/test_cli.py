@@ -381,14 +381,16 @@ def test_simulate_grid_with_one_passes(tmp_path):
 
 def test_simulate_floors_decimal_grid_values_exactly(tmp_path):
     # 100 * 0.29 is 28.999999999999996 in floats; the grid point means row 29
-    from haartrace.cumulants import limit_covariance, variance_closed
-    from haartrace.empirics import covariance_mc, map_replicas, trace_field
+    from haartrace.cumulants import covariance_closed, limit_covariance
+    from haartrace.empirics import covariance_mc, trace_field
+    from haartrace.sampling import map_replicas
     code, text = run_cli(tmp_path, "simulate", "--n", "100", "--replicas", "100",
                          "--grid", "0.29", "--master-seed", "4")
     assert code in (0, 1)
     (cov,) = [r for r in body_records(text) if r["kind"] == "covariance"]
     assert (cov["s"], cov["t"]) == (0.29, 0.29)
-    assert cov["exact"] == "{0.numerator}/{0.denominator}".format(variance_closed(29, 29, 100))
+    exact = covariance_closed(29, 29, 29, 29, 100)
+    assert cov["exact"] == "{0.numerator}/{0.denominator}".format(exact)
     assert cov["limit"] == limit_covariance(0.29, 0.29, 0.29, 0.29, 2)
     # the leading 29 rows and columns, sampled by the route the command takes
     values = map_replicas("unitary", 100, 100, 4,
@@ -481,20 +483,32 @@ def test_oversized_run_is_usage_error_naming_the_size(argv, n, replicas, monkeyp
     assert peak < 2**20
 
 
-# the Monte Carlo names that `haartrace` re-exports, by defining module
-_DEFERRED_NAMES = {
-    "sampling": ("SeedSpec", "haar_batch", "haar_sample", "orthonormality_residual"),
-    "empirics": ("IncrementFit", "KStats", "KestenMcKay", "SpectralHistogram",
-                 "covariance_mc", "increment_fourth_moment_fit", "kesten_mckay",
-                 "kstat_estimators", "process_value", "sample_process_values",
-                 "spectral_compare", "trace_field"),
-}
+_SPECTRA = ["spectra", "--s", "1/2", "--t", "1/2", "--replicas", "10"]
+_BINS = "bins must lie in [1, 1048576], got "
+_SIZE = "matrix size must be at most 759250124 to be sampled, got "
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([*_SPECTRA, "--n", "4", "--bins", str(10**19)], _BINS + str(10**19)),
+    ([*_SPECTRA, "--n", "4", "--bins", "3000000000"], _BINS + "3000000000"),
+    ([*_SPECTRA, "--n", str(10**20 - 1)], _SIZE + str(10**20 - 1)),
+    (["simulate", "--n", str(10**10), "--replicas", "100", "--grid", "0.5"], _SIZE + str(10**10)),
+], ids=["bins-beyond-intp", "bins-beyond-memory", "spectra-n", "simulate-n"])
+def test_size_numpy_cannot_hold_is_usage_error_naming_the_value(argv, named, monkeypatch,
+                                                                capsys):
+    # numpy's own errors for these sizes name no value, and the histogram's
+    # came only after sampling; the run must stop before any replica is drawn
+    from haartrace import sampling
+    monkeypatch.setattr(sampling, "_haar_stack", _no_sampling)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named}" in err and "Traceback" not in err
 
 
 def test_exact_commands_run_without_numpy(tmp_path):
     # a fresh process: this one imported numpy long ago.  The Monte Carlo
-    # modules must still be in `sys.modules` for lookups by name, and every
-    # re-exported name must be its module's object once read
+    # modules must still be in `sys.modules` for lookups by name, as the
+    # package's own attributes, and load numpy when first read
     code = textwrap.dedent(f"""
         import sys
         import haartrace
@@ -504,12 +518,10 @@ def test_exact_commands_run_without_numpy(tmp_path):
                      ["verify", "--scope", "quick"]):
             assert cli.main([*argv, "--output", {str(tmp_path / "report.json")!r}]) == 0, argv
         assert "numpy" not in sys.modules, "numpy imported"
-        assert {{"haartrace.sampling", "haartrace.empirics"}} <= set(sys.modules)
-        haartrace.SeedSpec
-        for module, names in {_DEFERRED_NAMES!r}.items():
-            for name in names:
-                assert getattr(haartrace, name) is getattr(
-                    sys.modules["haartrace." + module], name), name
+        for name in ("sampling", "empirics"):
+            assert sys.modules["haartrace." + name] is getattr(haartrace, name), name
+        haartrace.sampling.SeedSpec
+        assert "numpy" in sys.modules
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")

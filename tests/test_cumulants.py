@@ -32,11 +32,9 @@ from haartrace.cumulants import (
     limit_covariance,
     process_covariance,
     trace_cumulant,
-    variance_closed,
-    variance_closed_orthogonal,
 )
 from haartrace.errors import DimensionError, SizeLimitError
-from haartrace.sampling import haar_batch
+from haartrace.sampling import map_replicas
 from haartrace.weingarten import (
     sigma_of,
     t_of_perm,
@@ -133,7 +131,7 @@ def test_trace_cumulant_mean():
 
 def test_trace_cumulant_variance_examples():
     assert trace_cumulant(uniform_req("unitary", 1, 1, 2, 2)) == Fraction(1, 12)
-    assert variance_closed(1, 1, 2) == Fraction(1, 12)
+    assert covariance_closed(1, 1, 1, 1, 2) == Fraction(1, 12)
     for n in (4, 6, 8):
         assert trace_cumulant(uniform_req("orthogonal", 1, 1, 2, n)) == \
             Fraction(2 * (n - 1), n * n * (n + 2))
@@ -151,12 +149,12 @@ def test_variance_closed_forms_match_trace_cumulants():
         for p in range(1, n + 1):
             for q in range(1, n + 1):
                 assert trace_cumulant(uniform_req("unitary", p, q, 2, n)) == \
-                    variance_closed(p, q, n)
+                    covariance_closed(p, q, p, q, n)
     for n in (4, 5):
         for p in range(1, n + 1):
             for q in range(1, n + 1):
                 assert trace_cumulant(uniform_req("orthogonal", p, q, 2, n)) == \
-                    variance_closed_orthogonal(p, q, n)
+                    covariance_closed_orthogonal(p, q, p, q, n)
 
 
 def test_covariance_closed_form_matches_trace_cumulant():
@@ -198,7 +196,8 @@ def test_covariance_closed_corner_cases():
     for p2 in range(1, n + 1):
         for q2 in range(1, n + 1):
             assert covariance_closed(n, n, p2, q2, n) == 0
-    assert covariance_closed(2, 3, 2, 3, n) == variance_closed(2, 3, n)
+    # Var T_{p,q} = pq (n-p)(n-q) / (n^2 (n^2-1)), the diagonal of the closed form
+    assert covariance_closed(2, 3, 2, 3, n) == Fraction(2 * 3 * 3 * 2, n * n * (n * n - 1))
 
 
 @given(st.integers(2, 8), st.data())
@@ -207,16 +206,17 @@ def test_closed_form_symmetries(n, data):
     q = data.draw(st.integers(1, n))
     p2 = data.draw(st.integers(1, n))
     q2 = data.draw(st.integers(1, n))
-    assert variance_closed(p, q, n) == variance_closed(q, p, n)
-    assert variance_closed_orthogonal(p, q, n) == variance_closed_orthogonal(q, p, n)
+    assert covariance_closed(p, q, p, q, n) == covariance_closed(q, p, q, p, n)
+    assert (covariance_closed_orthogonal(p, q, p, q, n)
+            == covariance_closed_orthogonal(q, p, q, p, n))
     assert covariance_closed(p, q, p2, q2, n) == covariance_closed(p2, q2, p, q, n)
 
 
 def test_closed_form_dimension_errors():
     with pytest.raises(DimensionError):
-        variance_closed(0, 1, 4)
+        covariance_closed(0, 1, 0, 1, 4)
     with pytest.raises(DimensionError):
-        variance_closed(2, 5, 4)
+        covariance_closed(2, 5, 2, 5, 4)
     with pytest.raises(DimensionError):
         covariance_closed(1, 1, 1, 6, 5)
 
@@ -700,7 +700,7 @@ def test_fourth_central_moment_exact_joint_moment_oracle():
 def test_fourth_central_moment_monte_carlo():
     # MC oracle at (p,q,n) = (2,2,4), one million replicas
     n, reps = 4, 1_000_000
-    batch = haar_batch("unitary", n, reps, master_seed=8808)
+    batch = map_replicas("unitary", n, reps, 8808, lambda z: z)
     t = (np.abs(batch[:, :2, :2]) ** 2).sum(axis=(1, 2))
     centered = t - t.mean()
     m4 = (centered ** 4).mean()

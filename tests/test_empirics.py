@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from haartrace.cumulants import variance_closed, variance_closed_orthogonal
+from haartrace.cumulants import covariance_closed, covariance_closed_orthogonal
 from haartrace.empirics import (
     corner_traces,
     covariance_mc,
@@ -309,10 +309,10 @@ def test_sample_process_values_deterministic_across_workers():
 def test_process_variance_matches_exact_small_n():
     vals = sample_process_values("unitary", 64, [(0.5, 0.5)], 1500, 4040)
     ks = kstat_estimators(vals[:, 0])
-    assert abs(ks.k2 - float(variance_closed(32, 32, 64))) < 4 * ks.se2
+    assert abs(ks.k2 - float(covariance_closed(32, 32, 32, 32, 64))) < 4 * ks.se2
     vals_o = sample_process_values("orthogonal", 64, [(0.5, 0.5)], 1500, 4041)
     ks_o = kstat_estimators(vals_o[:, 0])
-    assert abs(ks_o.k2 - float(variance_closed_orthogonal(32, 32, 64))) < 4 * ks_o.se2
+    assert abs(ks_o.k2 - float(covariance_closed_orthogonal(32, 32, 32, 32, 64))) < 4 * ks_o.se2
 
 
 def test_exchange_symmetry_of_corner_laws():
