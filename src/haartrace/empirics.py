@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, InsufficientReplicasError
-from .sampling import map_replicas
+from .sampling import map_replicas, sampled_block
 
 GridPoint = tuple[float, float]
 # Each bin's reference mass is one quadrature of about 20 us, so the largest
@@ -132,6 +132,7 @@ def sample_process_values(group: str, n: int, grid_points: Sequence[GridPoint],
     reader and the centring are built once, and only the block that
     `corner_traces` reads is sampled.
     """
+    sampled_block(group, n, None)  # the sampler's size rule, before any array is built
     ps, qs = np.array([(floor_index(n, s), floor_index(n, t)) for s, t in grid_points],
                       dtype=np.intp).reshape(-1, 2).T
     traces, rows, columns = corner_traces(n, ps, qs)
@@ -402,6 +403,7 @@ def increment_fourth_moment_fit(group: str, n: int, replicas: int, master_seed: 
     levels = tuple(levels)
     if not levels or min(levels) < 1:
         raise ValueError(f"levels must be one or more integers >= 1, got {levels}")
+    sampled_block(group, n, None)  # the sampler's size rule, before any array is built
     blocks, corners = [], []  # (level, i, j, dp, dq) and (p1, p2, q1, q2) per block
     for lev in levels:
         cells = 2 ** lev

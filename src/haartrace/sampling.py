@@ -8,18 +8,23 @@ correction does NOT give Haar measure.
 
 One engine samples every replica: it draws each replica of a chunk from its
 own Generator, seeded by (master_seed, replica_index), into one
-(k, n, columns) stack.  A chunk holds about 64 KiB of sampled block
-(`_CHUNK_BYTES`): 36 replicas at n = 16 with 14 real columns, one at
-n = 400.  `map_replicas` hands each chunk's leading (k, rows, columns) block
-to a stack function returning one row per replica, and a thread pool maps
-over chunks.  The block comes by one of two routes:
+(k, planes, n, n) Gaussian buffer, and factorizes the (k, n, columns) stack
+of leading columns.  A chunk holds about 256 KiB of Gaussian draws
+(`_CHUNK_BYTES`): 128 replicas at n = 16 (real), one at n = 400.  A
+chunk's fixed cost (the stacked QR call, the gauge fix, the stack function
+and the chunk's Generator, 70-100 us) is thus spread over many small
+matrices, and the buffer stays small even when few columns are read.
+`map_replicas` hands each chunk's leading (k, rows, columns) block to a
+stack function returning one row per replica, and a thread pool maps over
+chunks.  The block comes by one of two routes:
 
 - Householder, the default: one stacked QR, the gauge fix, and Q's leading
   rows.  Stacked QR runs the same LAPACK calls on each matrix as a single
   QR, so a replica is bitwise the same for any chunk size or worker count;
   `haar_sample` is the engine at k = 1, on one BLAS thread as well, and
   `map_replicas` with the identity stack function gives whole replicas.
-- R alone, when a chunk holds one replica and fewer than n rows are read.
+- R alone, when fewer than n rows are read and one replica's n x columns
+  block exceeds 32 KiB (`_R_ONLY_BYTES`), replica by replica.
   With G = QR, Q's leading rows are G[:rows] R^-1, so R from LAPACK
   `geqrf` and one triangular solve (CBLAS `trsm`), both called in numpy's
   bundled OpenBLAS through ctypes (`_r_only_calls`), give them without
@@ -34,16 +39,16 @@ over chunks.  The block comes by one of two routes:
   threads got through 1.4-2.4 (complex) and 1.6-2.0 (real) times the QRs
   of one, against 0.9-1.1 times through numpy.  100 unitary replicas at
   n = 400 with 300 rows and columns took 1.0-1.1 s on two workers against
-  1.5-1.6 s through numpy (1.8-1.9 s and 2.4 s on one).  Chunks of
-  several replicas keep Householder: there a QR and a solve per replica
-  cost more than the one stacked QR and gauge fix (5000 orthogonal replicas
+  1.5-1.6 s through numpy (1.8-1.9 s and 2.4 s on one).  Smaller blocks
+  keep Householder: there a QR and a solve per replica cost more than
+  their share of one stacked QR and gauge fix (5000 orthogonal replicas
   of n = 16, 14 x 14, in chunks of 36: 0.44-0.48 s against 0.27-0.30 s).
   Without the bundled library, or any of the four calls in it, every chunk
   takes Householder.  All timings on a shared 2-core x86-64 host, BLAS on
   one thread.
 
 The route depends only on the group, n, rows and columns, never on the
-worker count, so rows stay the same for any worker count.
+chunk size or the worker count, so rows stay the same for any of them.
 
 A replica's stream is `np.random.default_rng((master_seed, index))` bit for
 bit, but the engine builds no `SeedSequence` and PCG64 per replica (12-20
@@ -56,13 +61,13 @@ a pass per chunk would pay again for every chunk of one or two replicas.
 `_replica_rngs` then does PCG64's seeding step on Python ints and loads
 each state into the chunk's one Generator through `bit_generator.state`.
 Pool threads run chunks concurrently, so a Generator never leaves its
-chunk.  Seeding costs 5 us per replica in chunks of 36 and more, and about
-what `default_rng` costs in chunks of one.  The entropy is the master's
-words (one below 2^32, two up to 2^64) followed by the index's low and high
-words.  The pool holds four words and `SeedSequence` hashes an unused one
-as 0, so an index below 2^32, whose entropy has no high word, mixes the
-same as with a zero high word: the port covers every master and index that
-`SeedSpec` accepts.
+chunk.  Seeding costs 5 us per replica in chunks of many replicas (4.6 us
+over 20 000 at once), and about what `default_rng` costs in chunks of one.
+The entropy is the master's words (one below 2^32, two up to 2^64)
+followed by the index's low and high words.  The pool holds four words and
+`SeedSequence` hashes an unused one as 0, so an index below 2^32, whose
+entropy has no high word, mixes the same as with a zero high word: the
+port covers every master and index that `SeedSpec` accepts.
 
 Under Householder QR the first q columns of Q depend only on the first q
 Gaussian columns (Mezzadri, Notices AMS 54, 2007), and so does R.  A
@@ -94,8 +99,10 @@ import numpy as np
 
 from .errors import DimensionError, InsufficientReplicasError
 
-# Sampled block bytes per chunk (k n columns itemsize): 36 replicas at n = 16, 14 real columns
-_CHUNK_BYTES = 64 << 10
+# Gaussian draw bytes per chunk (k n^2 itemsize): 128 replicas at n = 16 (real), one at n = 400
+_CHUNK_BYTES = 256 << 10
+# One replica's sampled block (n columns itemsize) above which rows < n take R alone
+_R_ONLY_BYTES = 32 << 10
 _DTYPE = {"unitary": np.dtype(np.complex128), "orthogonal": np.dtype(np.float64)}
 _SQRT_HALF = 1 / np.sqrt(2.0)
 # The largest n whose (2, n, n) float64 draw numpy can size at all; above it
@@ -201,28 +208,12 @@ def _replica_rngs(words: np.ndarray) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def _ginibre(rng: np.random.Generator, draw: np.ndarray, out: np.ndarray) -> None:
-    """Write the leading columns of one n x n Gaussian draw into the n x columns `out`.
+def sampled_block(group: str, n: int, columns: int | None) -> tuple[int, np.dtype]:
+    """(columns, dtype) of one sampled n x columns block; columns defaults to n.
 
-    The draw itself is always full: one `standard_normal` call fills the
-    (planes, n, n) buffer `draw`, one plane for a real matrix and two, real
-    then imaginary, for a complex one, which is the stream of one (n, n)
-    call per plane.  A complex entry is (re + i im) / sqrt(2), written by one
-    product by 1/sqrt(2) into the (2, n, columns) float view of `out`:
-    numpy divides a complex number by a real one as a product with the
-    reciprocal, so this is the same bit for bit.
+    Raises ValueError, naming the value, for a group, n or columns that
+    cannot be sampled.
     """
-    rng.standard_normal(out=draw)
-    n, columns = out.shape
-    if out.dtype.kind == "c":
-        planes = out.view(np.float64).reshape(n, columns, 2).transpose(2, 0, 1)
-        np.multiply(draw[:, :, :columns], _SQRT_HALF, out=planes)
-    else:
-        out[...] = draw[0, :, :columns]
-
-
-def _block(group: str, n: int, columns: int | None) -> tuple[int, np.dtype]:
-    """(columns, dtype) of one sampled n x columns block; columns defaults to n."""
     if group not in _DTYPE:
         raise ValueError(f"unknown group {group!r}")
     if n < 1:
@@ -251,17 +242,32 @@ def _haar_stack(group: str, n: int, words: np.ndarray, columns: int | None,
                 r_only: tuple[Callable, Callable] | None = None) -> np.ndarray:
     """Leading `rows` x `columns` of the replicas whose `_seed_words` rows are `words`, stacked.
 
+    Each replica's full n x n Gaussian is one `standard_normal` call into its
+    (planes, n, n) slot of one chunk buffer: one plane for a real matrix, two
+    (real, then imaginary) for a complex one, the stream of one (n, n) call
+    per plane.  A complex entry is (re + i im) / sqrt(2), written for the
+    whole chunk by one product by 1/sqrt(2) into the float view of the
+    stack: numpy divides a complex number by a real one as a product with
+    the reciprocal, so this is the quotient bit for bit.  A real stack is a
+    view of the buffer, as both routes copy what they factor.
+
     Without `r_only` this is Householder Q with the gauge fix.  With the
     `(qr_r, solve)` of `_r_only_calls`, each G's R alone is computed and
     `solve` overwrites a copy of G's leading rows with G[:rows] R^-1: Q's
     rows, each column still carrying R's phase.
     """
-    cols, dtype = _block(group, n, columns)
-    z = np.empty((len(words), n, cols), dtype=dtype)
-    draw = np.empty((2 if dtype.kind == "c" else 1, n, n))
-    for k, rng in enumerate(_replica_rngs(words)):
-        _ginibre(rng, draw, z[k])
-    del draw  # freed before the QR, as the per-replica draws were: 2.6 MB at n = 400
+    cols, dtype = sampled_block(group, n, columns)
+    k = len(words)
+    draws = np.empty((k, 2 if dtype.kind == "c" else 1, n, n))
+    for i, rng in enumerate(_replica_rngs(words)):
+        rng.standard_normal(out=draws[i])
+    if dtype.kind == "c":
+        z = np.empty((k, n, cols), dtype=dtype)
+        planes = z.view(np.float64).reshape(k, n, cols, 2).transpose(0, 3, 1, 2)
+        np.multiply(draws[..., :cols], _SQRT_HALF, out=planes)
+        del draws  # freed before the QR: 2.6 MB at n = 400
+    else:
+        z = draws[:, 0, :, :cols]
     if r_only is not None:
         qr_r, solve = r_only
         x = z[:, :rows].copy()  # the solve is in place; a view would overwrite G
@@ -288,38 +294,39 @@ def map_replicas(group: str, n: int, replicas: int, master_seed: int,
     stack_fn maps the (k, rows, columns) stack of the leading `rows` x
     `columns` (defaults all n) of k consecutive replicas to their k rows, in
     order; each chunk writes only its own rows, so rows are the same for any
-    worker count, BLAS being single-threaded.  With one replica per chunk and
-    rows < n the block comes from R alone (`_haar_stack`): its columns are
-    Haar's up to unit phases, which squared moduli and the spectrum of V V*
-    do not see.  Freed sample arrays are kept for reuse (`keep_sample_memory`).
+    chunk size and worker count, BLAS being single-threaded.  With rows < n
+    and a replica's block over `_R_ONLY_BYTES` the block comes from R alone
+    (`_haar_stack`): its columns are Haar's up to unit phases, which squared
+    moduli and the spectrum of V V* do not see.  Freed sample arrays are kept
+    for reuse (`keep_sample_memory`).
     """
     if replicas < 1:
         raise InsufficientReplicasError("need at least one replica")
-    cols, dtype = _block(group, n, columns)
+    cols, dtype = sampled_block(group, n, columns)
     rows = n if rows is None else rows
     if not 1 <= rows <= n:
         raise ValueError(f"rows must lie in [1, {n}], got {rows}")
-    step = max(1, _CHUNK_BYTES // (n * cols * dtype.itemsize))  # replicas per chunk
-    r_only = _r_only_calls() if rows < n and step == 1 else None
+    step = max(1, _CHUNK_BYTES // (n * n * dtype.itemsize))  # replicas per chunk
+    r_only = _r_only_calls() if rows < n and n * cols * dtype.itemsize > _R_ONLY_BYTES else None
     # every replica's seed words in one pass: a pass per chunk costs about
-    # 0.1 ms, more than it saves on chunks of a few replicas (n of 46 and up)
+    # 0.1 ms, more than it saves on chunks of a few replicas
     words = _seed_words(master_seed, range(replicas))
     keep_sample_memory()
 
     def compute(lo: int) -> np.ndarray:
         return stack_fn(_haar_stack(group, n, words[lo:lo + step], columns, rows, r_only))
 
+    starts = range(0, replicas, step)
+    out = None
     # BLAS runs on one thread for every worker count: OpenBLAS's threaded
     # kernels round differently from its serial ones (at n = 400, say), so a
     # thread count that followed `workers` would change the rows with it
     with single_threaded_blas():
-        first = compute(0)
-        out = np.empty((replicas, *first.shape[1:]), dtype=first.dtype)
-        out[:step] = first
-        rest = range(step, replicas, step)
         pool = concurrent.futures.ThreadPoolExecutor(workers) if workers > 1 else None
         with pool or contextlib.nullcontext():  # workers <= 1: no pool, all in this thread
-            for lo, chunk in zip(rest, (pool.map if pool else map)(compute, rest)):
+            for lo, chunk in zip(starts, (pool.map if pool else map)(compute, starts)):
+                if out is None:
+                    out = np.empty((replicas, *chunk.shape[1:]), dtype=chunk.dtype)
                 out[lo:lo + step] = chunk
     return out
 

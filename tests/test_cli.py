@@ -463,10 +463,9 @@ def test_out_of_memory_is_usage_error_naming_the_size(monkeypatch, capsys):
 @pytest.mark.parametrize("argv, n, replicas", [
     (["simulate", "--n", "4", "--replicas", str(10**19), "--grid", "0.5"], 4, 10**19),
     (["spectra", "--n", "4", "--s", "1/2", "--t", "1/2", "--replicas", str(10**19)], 4, 10**19),
-    (["simulate", "--n", str(10**20 - 1), "--replicas", "100", "--grid", "0.5"], 10**20 - 1, 100),
-], ids=["simulate-replicas", "spectra-replicas", "simulate-n"])
+], ids=["simulate-replicas", "spectra-replicas"])
 def test_oversized_run_is_usage_error_naming_the_size(argv, n, replicas, monkeypatch, capsys):
-    # numpy cannot size the seed words or the corner indices; the run stops
+    # numpy cannot size the seed words; the run stops
     # there, before any Gaussian block is drawn or any array is allocated
     import tracemalloc
     from haartrace import sampling
@@ -493,7 +492,10 @@ _SIZE = "matrix size must be at most 759250124 to be sampled, got "
     ([*_SPECTRA, "--n", "4", "--bins", "3000000000"], _BINS + "3000000000"),
     ([*_SPECTRA, "--n", str(10**20 - 1)], _SIZE + str(10**20 - 1)),
     (["simulate", "--n", str(10**10), "--replicas", "100", "--grid", "0.5"], _SIZE + str(10**10)),
-], ids=["bins-beyond-intp", "bins-beyond-memory", "spectra-n", "simulate-n"])
+    (["simulate", "--n", str(10**20 - 1), "--replicas", "100", "--grid", "0.5"],
+     _SIZE + str(10**20 - 1)),
+], ids=["bins-beyond-intp", "bins-beyond-memory", "spectra-n", "simulate-n",
+        "simulate-n-beyond-intp"])
 def test_size_numpy_cannot_hold_is_usage_error_naming_the_value(argv, named, monkeypatch,
                                                                 capsys):
     # numpy's own errors for these sizes name no value, and the histogram's

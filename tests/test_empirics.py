@@ -486,3 +486,21 @@ def test_increment_fit_rejects_bad_levels_before_sampling(monkeypatch, levels, n
     monkeypatch.setattr(empirics, "map_replicas", sampled)
     with pytest.raises(ValueError, match=f"levels .* got {named}$"):
         increment_fourth_moment_fit("unitary", 16, 50, master_seed=21, levels=levels)
+
+
+@pytest.mark.parametrize("pipeline", ["process values", "increment fit"])
+def test_pipelines_reject_an_n_beyond_the_sampler_before_any_array(monkeypatch, pipeline):
+    # at this n the corner indices hold no C integer: numpy's OverflowError
+    # named no value, so the sampler's size rule must come first
+    from haartrace import empirics
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("a replica was sampled")
+
+    monkeypatch.setattr(empirics, "map_replicas", sampled)
+    n = 10**20 - 1
+    with pytest.raises(ValueError, match=f"matrix size must be at most .* got {n}$"):
+        if pipeline == "process values":
+            sample_process_values("unitary", n, [(0.5, 0.5)], 10, 1)
+        else:
+            increment_fourth_moment_fit("unitary", n, 10, master_seed=1)

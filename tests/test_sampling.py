@@ -16,7 +16,6 @@ from haartrace.errors import DimensionError
 from haartrace.sampling import (
     SeedSpec,
     _gauge_fix,
-    _ginibre,
     _mallopt,
     _openblas_thread_calls,
     _r_only_calls,
@@ -54,18 +53,18 @@ def test_single_sample_is_the_engine_row_bit_for_bit():
         assert np.array_equal(haar_sample(group, 200, SeedSpec(1, 2)), rows[2])
 
 
-def _chunks_of(monkeypatch, k, n, columns, group):
+def _chunks_of(monkeypatch, k, n, group):
     """Set the engine's byte budget so that its chunks hold k replicas."""
-    block = n * columns * sampling._DTYPE[group].itemsize
-    monkeypatch.setattr(sampling, "_CHUNK_BYTES", k * block + block // 2)
+    draw = n * n * sampling._DTYPE[group].itemsize
+    monkeypatch.setattr(sampling, "_CHUNK_BYTES", k * draw + draw // 2)
 
 
 def test_batch_equals_per_replica(monkeypatch):
-    _chunks_of(monkeypatch, 7, 6, 6, "unitary")
+    _chunks_of(monkeypatch, 7, 6, "unitary")
     batch = map_replicas("unitary", 6, 40, 9, lambda z: z)
     for i in range(40):
         assert np.array_equal(batch[i], haar_sample("unitary", 6, SeedSpec(9, i)))
-    _chunks_of(monkeypatch, 13, 6, 6, "orthogonal")
+    _chunks_of(monkeypatch, 13, 6, "orthogonal")
     batch_o = map_replicas("orthogonal", 6, 40, 9, lambda z: z)
     for i in range(40):
         assert np.array_equal(batch_o[i], haar_sample("orthogonal", 6, SeedSpec(9, i)))
@@ -79,7 +78,7 @@ def test_engine_rows_are_distinct_per_replica_samples(monkeypatch, group, chunk,
     # replica drawn twice, skipped or taken from a neighbour's stream fails.
     # workers=0 runs in this thread, as workers=1 does
     n, columns, replicas, master = 6, 4, 40, 21
-    _chunks_of(monkeypatch, chunk, n, columns, group)
+    _chunks_of(monkeypatch, chunk, n, group)
     sizes = []
 
     def flatten(z):
@@ -260,7 +259,7 @@ def test_replicas_run_single_threaded_blas_and_restore_it(monkeypatch):
         threads.add(threading.get_ident())
         return np.zeros((len(z), 1))
 
-    _chunks_of(monkeypatch, 7, 6, 6, "orthogonal")  # 40 replicas in 6 chunks
+    _chunks_of(monkeypatch, 7, 6, "orthogonal")  # 40 replicas in 6 chunks
     try:
         set_threads(2)
         for workers in (1, 2):
@@ -270,8 +269,12 @@ def test_replicas_run_single_threaded_blas_and_restore_it(monkeypatch):
             assert get_threads() == 2
             assert len(seen) == 6  # one call per chunk
             assert set(seen) == {1}  # the first chunk too, and without a pool
-            # workers=1 stays in this thread; workers=2 runs chunks on pool threads
-            assert (threads == {threading.get_ident()}) == (workers == 1)
+            # workers=1 stays in this thread; workers=2 runs every chunk,
+            # the first one too, on pool threads
+            if workers == 1:
+                assert threads == {threading.get_ident()}
+            else:
+                assert threading.get_ident() not in threads
     finally:
         set_threads(original)
 
@@ -309,22 +312,29 @@ def test_replica_loop_reuses_its_freed_arrays(workers):
 
 
 # ---------------------------------------------------------------------------
-# the R-only route: leading rows of G R^-1 for one-replica chunks
+# the R-only route: leading rows of G R^-1 for blocks over 32 KiB
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [8, 400])
 def test_complex_draw_written_in_place_equals_the_quotient(n):
     # numpy divides a complex number by a real one as a product with the
-    # reciprocal, so the in-place products are the old quotient bit for bit;
-    # one draw buffer serves every replica
-    draw = np.empty((2, n, n))
-    for seed in range(5):
-        for q in sorted({1, n // 2, n}):
-            out = np.empty((n, q), dtype=np.complex128)
-            _ginibre(SeedSpec(seed, n).rng(), draw, out)
-            rng = SeedSpec(seed, n).rng()
+    # reciprocal, so the chunk's one in-place product is the quotient bit for
+    # bit.  A recording R-only factor sees each replica's Gaussian block
+    replicas = 3
+    words = sampling._seed_words(5, range(replicas))
+    for q in sorted({1, n // 2, n}):
+        seen = []
+
+        def recording_qr(g):
+            seen.append(g.copy())
+            return np.eye(q, dtype=g.dtype)
+
+        sampling._haar_stack("unitary", n, words, q, n, (recording_qr, lambda x, r: None))
+        assert len(seen) == replicas
+        for i, g in enumerate(seen):
+            rng = SeedSpec(5, i).rng()
             re, im = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-            assert np.array_equal(out, (re[:, :q] + 1j * im[:, :q]) / np.sqrt(2.0))
+            assert np.array_equal(g, (re[:, :q] + 1j * im[:, :q]) / np.sqrt(2.0))
 
 
 def _householder_rows(group, n, master, replicas, rows, columns):
@@ -356,10 +366,10 @@ def _solve_calls(monkeypatch):
 @pytest.mark.parametrize("n", [8, 64, 400])
 def test_r_only_moduli_equal_householder_moduli(monkeypatch, group, n):
     calls = _solve_calls(monkeypatch)
+    monkeypatch.setattr(sampling, "_R_ONLY_BYTES", 0)  # every block with rows < n
     replicas = 2 if n == 400 else 4
     for rows, columns in sorted({(n // 2, (3 * n) // 4), ((3 * n) // 4, n // 2),
                                  (1, n), (n - 1, 1), (n - 1, n)}):
-        _chunks_of(monkeypatch, 1, n, columns, group)
         calls.clear()
         got = map_replicas(group, n, replicas, 31, lambda z: z, columns=columns, rows=rows)
         assert calls == [(rows, columns)] * replicas  # the route was taken
@@ -371,9 +381,13 @@ def test_r_only_moduli_equal_householder_moduli(monkeypatch, group, n):
 @pytest.mark.parametrize("group", ["unitary", "orthogonal"])
 @pytest.mark.parametrize("case", ["all rows", "chunks of 3", "no library"])
 def test_householder_route_rows_are_bit_identical(monkeypatch, group, case):
+    # a 24 x 20 block is under 32 KiB: in chunks of 3 it stays on
+    # Householder, and the other cases lower the threshold to no bytes
     n, rows, columns, replicas = 24, 10, 20, 7
     calls = _solve_calls(monkeypatch)
-    _chunks_of(monkeypatch, 3 if case == "chunks of 3" else 1, n, columns, group)
+    _chunks_of(monkeypatch, 3 if case == "chunks of 3" else 1, n, group)
+    if case != "chunks of 3":
+        monkeypatch.setattr(sampling, "_R_ONLY_BYTES", 0)
     if case == "all rows":
         rows = n
     if case == "no library":
@@ -381,6 +395,50 @@ def test_householder_route_rows_are_bit_identical(monkeypatch, group, case):
     got = map_replicas(group, n, replicas, 17, lambda z: z, columns=columns, rows=rows)
     assert calls == []
     assert np.array_equal(got, _householder_rows(group, n, 17, replicas, rows, columns))
+
+
+@pytest.mark.parametrize("group, n, rows, columns", [
+    ("unitary", 16, 12, 14),  # Householder: mc_wide_grid's block
+    ("orthogonal", 16, 12, 14),
+    ("unitary", 64, 40, 48),  # R alone: 48 KiB, four replicas per default chunk
+])
+def test_rows_do_not_depend_on_the_chunk_budget(monkeypatch, group, n, rows, columns):
+    replicas = 10
+    block = n * columns * sampling._DTYPE[group].itemsize
+    calls = _solve_calls(monkeypatch)
+    results = {}
+    for chunk in (None, 1, replicas):  # the default, one replica per chunk, one chunk
+        if chunk is not None:
+            _chunks_of(monkeypatch, chunk, n, group)
+        sizes = []
+
+        def identity(z):
+            sizes.append(len(z))
+            return z
+
+        calls.clear()
+        results[chunk] = map_replicas(group, n, replicas, 41, identity, columns=columns,
+                                      rows=rows)
+        assert sum(sizes) == replicas
+        if chunk is not None:
+            assert max(sizes) == chunk
+        elif block > 32 << 10:
+            assert 1 < max(sizes) < replicas  # several replicas on the R-only route
+        assert len(calls) == (replicas if block > 32 << 10 else 0)
+    assert np.array_equal(results[1], results[None])
+    assert np.array_equal(results[replicas], results[None])
+
+
+@pytest.mark.parametrize("chunk", [1, None, 5])
+@pytest.mark.parametrize("n", [45, 46])
+def test_r_only_route_is_taken_exactly_above_32_kib(monkeypatch, n, chunk):
+    # a complex 45 x 45 block is 32400 bytes and 46 x 46 is 33856: the route
+    # follows one replica's block, whatever the chunk budget
+    calls = _solve_calls(monkeypatch)
+    if chunk is not None:
+        _chunks_of(monkeypatch, chunk, n, "unitary")
+    map_replicas("unitary", n, 5, 3, lambda z: z, rows=n - 1)
+    assert calls == ([(n - 1, n)] * 5 if n == 46 else [])
 
 
 def test_r_only_solve_leaves_the_gaussian_unchanged(monkeypatch):
@@ -532,9 +590,9 @@ def test_importing_the_package_resolves_no_trsm_symbol():
 @pytest.mark.parametrize("master", [0, 1, 2027, 2**32 - 1, 2**32, 2**64 - 1])
 def test_batched_seeding_draws_equal_numpy_default_rng(master):
     # a numpy upgrade that changed SeedSequence or PCG64 seeding fails here;
-    # 35 and 36 straddle the first chunk boundary at n = 16, 14 real columns,
-    # and the index takes a second entropy word from 2^32 on
-    for indices in (range(0, 37), range(2**32 - 2, 2**32 + 2), range(2**64 - 3, 2**64)):
+    # 127 and 128 straddle the first chunk boundary at n = 16 (real), and
+    # the index takes a second entropy word from 2^32 on
+    for indices in (range(0, 129), range(2**32 - 2, 2**32 + 2), range(2**64 - 3, 2**64)):
         words = sampling._seed_words(master, indices)
         for idx, rng in zip(indices, sampling._replica_rngs(words), strict=True):
             want = np.random.default_rng((master, idx)).standard_normal(64)
@@ -576,8 +634,10 @@ def _numpy_seeded_rows(group, n, master, replicas, rows, columns, r_only):
     ("orthogonal", 16, 80, 16, 14, 36),  # mc_wide_grid's shape
     ("unitary", 4, 600, 4, 4, 256),
 ])
-def test_engine_rows_equal_numpy_seeded_reference(group, n, replicas, rows, columns, chunk,
-                                                  workers):
+def test_engine_rows_equal_numpy_seeded_reference(monkeypatch, group, n, replicas, rows,
+                                                  columns, chunk, workers):
+    # in chunks of `chunk`; the last check runs the default budget
+    _chunks_of(monkeypatch, chunk, n, group)
     sizes = []
 
     def identity(z):
@@ -587,10 +647,12 @@ def test_engine_rows_equal_numpy_seeded_reference(group, n, replicas, rows, colu
     got = map_replicas(group, n, replicas, 2027, identity, workers=workers,
                        columns=columns, rows=rows)
     assert max(sizes) == chunk
-    r_only = chunk == 1 and rows < n and _r_only_calls() is not None
+    block = n * columns * sampling._DTYPE[group].itemsize
+    r_only = rows < n and block > 32 << 10 and _r_only_calls() is not None
     want = _numpy_seeded_rows(group, n, 2027, replicas, rows, columns, r_only)
     assert np.array_equal(got, want)
     if rows == columns == n:
+        monkeypatch.undo()
         assert np.array_equal(map_replicas(group, n, replicas, 2027, lambda z: z), got)
 
 
