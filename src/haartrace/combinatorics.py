@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DimensionError, OrderViolationError, SizeLimitError
 
@@ -178,14 +178,6 @@ class Permutation:
     def identity(cls, k: int) -> "Permutation":
         return cls(tuple(range(1, k + 1)))
 
-    @classmethod
-    def from_cycles(cls, k: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        images = list(range(1, k + 1))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + type(cycle)([cycle[0]])):
-                images[a - 1] = b
-        return cls(tuple(images))
-
     @property
     def size(self) -> int:
         return len(self.images)
@@ -279,11 +271,6 @@ def pair_orbits(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(orbits)
 
 
-def bar(a: int, k: int) -> int:
-    """The fixed [2k] encoding of the barred copy: a <-> k + a."""
-    return a + k if a <= k else a - k
-
-
 @dataclass(frozen=True)
 class Pairing:
     """A fixed-point-free involution of [2k], stored as the partner array."""
@@ -310,9 +297,6 @@ class Pairing:
     @property
     def size(self) -> int:
         return len(self.partner)
-
-    def partner_of(self, a: int) -> int:
-        return self.partner[a - 1]
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((a, self.partner[a - 1]) for a in range(1, self.size + 1) if a < self.partner[a - 1])

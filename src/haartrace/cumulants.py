@@ -14,7 +14,9 @@ relative Weingarten cumulants times products of per-cycle projector traces:
 where A ranges over partitions that coarsen the cycle partition of the
 Weingarten argument while joining with those of alpha and beta to the full
 one-block partition, and (orthogonal case) sigma is the double-coset
-representative extracted from t_{alpha^-1} tau_eps t_beta.
+representative of t_{alpha^-1} tau_eps t_beta in S_2r (Collins and Sniady,
+CMP 264, 2006).  Only sigma's cycles, as sets of labels, enter the sum, and
+they are read straight off (alpha, beta, eps) by `_sigma_blocks`.
 
 Both sums are evaluated one way.  The admissible (pi, A) do not depend on n,
 so they are found once per (group, r), as monomials in cycle-set cumulants.
@@ -59,6 +61,7 @@ from functools import lru_cache
 from .combinatorics import (
     Permutation,
     SetPartition,
+    _connected_groups,
     all_permutations,
     cycle_partition,
     enumerate_partitions,
@@ -72,9 +75,6 @@ from .weingarten import (
     ORDER_LIMITS,
     gram_inverse,
     pairings,
-    sigma_of,
-    t_of_perm,
-    tau_of_signs,
     weingarten_orthogonal,
     weingarten_unitary,
 )
@@ -149,8 +149,22 @@ def _cycle_set_cumulant(group: str, n: int, lengths: tuple[int, ...]) -> Fractio
 # Trace cumulants: the closed double-sum route
 # ---------------------------------------------------------------------------
 
-def _sigma_triple(alpha: Permutation, beta: Permutation, eps: tuple) -> Permutation:
-    return sigma_of(t_of_perm(alpha.inverse()) * tau_of_signs(eps) * t_of_perm(beta))
+def _sigma_blocks(alpha: Permutation, beta: Permutation, eps: tuple) -> list[list[int]]:
+    """The cycles of sigma(alpha, beta, eps) as sets of labels, by least element.
+
+    sigma is the double-coset representative of g = t_{alpha^-1} tau_eps t_beta
+    in S_2r: its cycles are the loops of the pairing {g(i), g(bar i)} with
+    the reference pairing {a, bar a}, read by their labels a.  g sends i to a
+    copy of l1(i) and bar i to a copy of l2(i), with l1(i) = i if eps_i = +1
+    and alpha^-1(i) otherwise, and l2(i) = alpha^-1(beta(i)) if
+    eps_beta(i) = +1 and beta(i) otherwise.  So the cycles of sigma are the
+    connected groups of [r] under the links l1(i) - l2(i); no permutation of
+    [2r] is built.
+    """
+    inv = alpha.inverse()
+    links = [(i if e == 1 else inv(i), inv(b) if eps[b - 1] == 1 else b)
+             for i, (e, b) in enumerate(zip(eps, beta.images), start=1)]
+    return _connected_groups(alpha.size, links)
 
 
 @lru_cache(maxsize=None)
@@ -161,8 +175,10 @@ def _admissible_monomials(group: str, r: int) -> tuple[tuple[Fraction, tuple], .
     over admissible A: groupings of the cycles of pi that join with the cycle
     partitions of alpha and beta to the one-block partition.  pi is
     beta alpha^-1 (unitary), or the sigma of every sign vector eps, with weight
-    2^(r - #alpha - #beta) (orthogonal).  C_{pi, A} factorizes over blocks, so
-    A is kept as a monomial: the sorted tuple of its blocks' cycle types.
+    2^(r - #alpha - #beta) (orthogonal); either is read only as its cycles,
+    sets of labels: `Permutation.cycles` or `_sigma_blocks`.  C_{pi, A}
+    factorizes over blocks, so A is kept as a monomial: the sorted tuple of
+    its blocks' cycle types.
 
     Relabelling by g in S_r keeps the weight and the monomial multiset, so
     entry k is built for the leader of the k-th `pair_orbits(r)` orbit only
@@ -177,17 +193,17 @@ def _admissible_monomials(group: str, r: int) -> tuple[tuple[Fraction, tuple], .
         alpha, beta = (perms[i] for i in orbit[0])
         ab = join(cycle_partition(alpha), cycle_partition(beta))
         if group == "unitary":
-            pis, weight = [beta * alpha.inverse()], Fraction(1)
+            pis, weight = [(beta * alpha.inverse()).cycles()], Fraction(1)
         else:
-            pis = [_sigma_triple(alpha, beta, eps)
+            pis = [_sigma_blocks(alpha, beta, eps)
                    for eps in itertools.product((1, -1), repeat=r)]
             weight = Fraction(2 ** r, 2 ** (alpha.num_cycles + beta.num_cycles))
         monomials: Counter = Counter()
-        for pi in pis:
-            cycles = pi.cycles()
+        for cycles in pis:
             for grouping in enumerate_partitions(len(cycles)):
                 blocks = [[cycles[c - 1] for c in block] for block in grouping.blocks]
-                if join(SetPartition.of(r, [sum(block, ()) for block in blocks]), ab) == full:
+                merged = [[x for cycle in block for x in cycle] for block in blocks]
+                if join(SetPartition.of(r, merged), ab) == full:
                     monomials[tuple(sorted(tuple(sorted(map(len, block), reverse=True))
                                            for block in blocks))] += 1
         entries.append((weight, tuple(monomials.items())))

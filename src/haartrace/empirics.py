@@ -397,13 +397,18 @@ class IncrementFit:
 def increment_fourth_moment_fit(group: str, n: int, replicas: int, master_seed: int,
                                 levels: Sequence[int] = (1, 2, 3),
                                 workers: int = 1) -> IncrementFit:
-    """Estimate E[increment^4] over dyadic blocks and fit the scaling constant."""
+    """Estimate E[increment^4] over dyadic blocks and fit the scaling constant.
+
+    Every level with 2^level >= n cuts the square into the same n^2 unit
+    blocks, so levels run from 1 to n.bit_length() and no further.
+    """
     if replicas < 2:
         raise InsufficientReplicasError(f"increment fit needs at least 2 replicas, got {replicas}")
-    levels = tuple(levels)
-    if not levels or min(levels) < 1:
-        raise ValueError(f"levels must be one or more integers >= 1, got {levels}")
     sampled_block(group, n, None)  # the sampler's size rule, before any array is built
+    levels = tuple(levels)
+    if not levels or not all(1 <= lev <= n.bit_length() for lev in levels):
+        raise ValueError(f"levels must be one or more integers from 1 to {n.bit_length()} "
+                         f"at n={n}, got {levels}")
     blocks, corners = [], []  # (level, i, j, dp, dq) and (p1, p2, q1, q2) per block
     for lev in levels:
         cells = 2 ** lev

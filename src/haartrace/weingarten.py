@@ -11,8 +11,10 @@ table off the row of the reference pairing gamma; the groups differ only in
 the pairings that index G.  Unitary pairings match plain indices with
 barred ones and are parametrized by S_k, and the values depend only on the
 cycle type of sigma.  Orthogonal pairings are all pairings of [2k], and the
-values are constant on double cosets of the hyperoctahedral group H_k,
-indexed here by the cycle type extracted by :func:`sigma_of`.
+values are constant on the double cosets H_k \\ S_2k / H_k of the
+hyperoctahedral group.  The coset of g in S_2k is indexed by the loop type
+of the pairing {g(a), g(bar a)} with gamma, and that of t_sigma is the cycle
+type of sigma, so both groups key their values by a partition of k.
 
 G(p1, p2) depends only on the loop type of (p1, p2), the partition of k
 formed by the half-lengths of the loops.  Functions of the loop type form a
@@ -42,9 +44,7 @@ from typing import Mapping, Sequence
 from .combinatorics import (
     CycleType,
     Pairing,
-    Permutation,
     all_permutations,
-    bar,
     enumerate_pairings,
     gamma_pairing,
     loop_type,
@@ -187,9 +187,9 @@ def weingarten_table(group: str, n: int, k: int) -> Mapping[CycleType, Fraction]
     """Read-only Weingarten values at (group, n, k), keyed by cycle type.
 
     The value at the cycle type of sigma in S_k is the inverse entry between
-    gamma = perm_pairing(identity) and perm_pairing(sigma): Wg(sigma) for
-    the unitary group, and the value on the double coset of t_sigma for the
-    orthogonal one.
+    gamma = perm_pairing(identity) and perm_pairing(sigma), whose loop type
+    is that cycle type: Wg(sigma) for the unitary group, and the value on the
+    double coset of t_sigma for the orthogonal one.
     """
     index = {p: a for a, p in enumerate(pairings(group, k))}
     inv, denom = gram_inverse(group, n, k)
@@ -203,67 +203,6 @@ def weingarten_table(group: str, n: int, k: int) -> Mapping[CycleType, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# Hyperoctahedral machinery
-# ---------------------------------------------------------------------------
-
-def eta(g: Permutation) -> Pairing:
-    """The pairing matching g(i) with g(bar i) for each i <= k."""
-    if g.size % 2 != 0:
-        raise ValueError("eta needs a permutation of an even ground set")
-    k = g.size // 2
-    return Pairing.from_pairs(g.size, [(g(i), g(k + i)) for i in range(1, k + 1)])
-
-
-def t_of_perm(pi: Permutation) -> Permutation:
-    """Embedding of S_k into S_2k acting only on the barred copy."""
-    k = pi.size
-    return Permutation(tuple(range(1, k + 1)) + tuple(k + pi(i) for i in range(1, k + 1)))
-
-
-def tau_of_signs(eps: tuple[int, ...]) -> Permutation:
-    """Product of the transpositions (i, bar i) at the -1 coordinates."""
-    k = len(eps)
-    if any(e not in (-1, 1) for e in eps):
-        raise ValueError("sign vector entries must be +1 or -1")
-    images = list(range(1, 2 * k + 1))
-    for idx, e in enumerate(eps, start=1):
-        if e == -1:
-            images[idx - 1], images[k + idx - 1] = k + idx, idx
-    return Permutation(tuple(images))
-
-
-def sigma_of(big_sigma: Permutation) -> Permutation:
-    """Extract the S_k coset representative of a permutation of [2k].
-
-    Walks each cycle of the union graph of eta(big_sigma) and the reference
-    pairing gamma, starting at the smallest barred element and alternating
-    gamma- and eta-edges; the visited pair labels, in order, form one cycle
-    of the result.  The output satisfies t_sigma ~ big_sigma in the double
-    coset H_k \\ S_2k / H_k.
-    """
-    if big_sigma.size % 2 != 0:
-        raise ValueError("sigma extraction needs a permutation of an even ground set")
-    k = big_sigma.size // 2
-    eta_pairing = eta(big_sigma)
-    seen = [False] * (k + 1)
-    cycles: list[list[int]] = []
-    for start_label in range(1, k + 1):
-        if seen[start_label]:
-            continue
-        v1 = k + start_label  # smallest barred element of this component
-        labels = [start_label]
-        seen[start_label] = True
-        cur = eta_pairing.partner_of(start_label)
-        while cur != v1:
-            label = cur if cur <= k else cur - k
-            labels.append(label)
-            seen[label] = True
-            cur = eta_pairing.partner_of(bar(cur, k))
-        cycles.append(labels)
-    return Permutation.from_cycles(k, cycles)
-
-
-# ---------------------------------------------------------------------------
 # Weingarten values and joint entry moments
 # ---------------------------------------------------------------------------
 
@@ -273,7 +212,7 @@ def weingarten_unitary(n: int, sigma: CycleType) -> Fraction:
 
 
 def weingarten_orthogonal(n: int, key: CycleType) -> Fraction:
-    """Orthogonal Weingarten value at the double-coset invariant: the cycle type of `sigma_of`."""
+    """Orthogonal Weingarten value on a double coset of H_k, keyed by its loop type with gamma."""
     return weingarten_table("orthogonal", n, sum(key))[tuple(key)]
 
 

@@ -25,6 +25,7 @@ from haartrace.combinatorics import (
 from haartrace.cumulants import (
     CumulantRequest,
     ProjectorFamily,
+    _sigma_blocks,
     covariance_closed,
     covariance_closed_orthogonal,
     cumulant_via_moments,
@@ -35,13 +36,8 @@ from haartrace.cumulants import (
 )
 from haartrace.errors import DimensionError, SizeLimitError
 from haartrace.sampling import map_replicas
-from haartrace.weingarten import (
-    sigma_of,
-    t_of_perm,
-    tau_of_signs,
-    weingarten_orthogonal,
-    weingarten_unitary,
-)
+from haartrace.weingarten import weingarten_orthogonal, weingarten_unitary
+from hyperoctahedral import sigma_triple
 
 
 def uniform_req(group, p, q, r, n):
@@ -70,7 +66,7 @@ def _relative_cumulant(group, pi, a, n):
 def test_relative_cumulants_order_two_values():
     for n in (2, 3, 6):
         ident = Permutation.identity(2)
-        swap = Permutation.from_cycles(2, [(1, 2)])
+        swap = Permutation((2, 1))
         assert _relative_cumulant("unitary", swap, one_partition(2), n) == \
             Fraction(-1, n * (n * n - 1))
         assert _relative_cumulant("unitary", ident, one_partition(2), n) == \
@@ -319,7 +315,7 @@ ORACLE_KNOWN = [
 
 CLOSED_ROUTE = ("_coefficient_table", "_admissible_monomials",
                 "_cycle_set_cumulant", "trace_cumulant",
-                "trace_cumulant_unitary", "trace_cumulant_orthogonal", "_sigma_triple",
+                "trace_cumulant_unitary", "trace_cumulant_orthogonal", "_sigma_blocks",
                 "pair_orbits", "weingarten_unitary", "weingarten_orthogonal")
 MOMENT_ORACLE = ("cumulant_via_moments", "_moment_weights", "_block_moment", "_moment_matrix")
 
@@ -445,17 +441,17 @@ def test_moment_matrix_barred_labels_are_an_equivalent_mutant(group, rmax):
 
 
 def _no_signs(alpha, beta, eps):
-    """A _sigma_triple mutant that ignores the sign vector."""
-    return sigma_of(t_of_perm(alpha.inverse()) * t_of_perm(beta))
+    """A _sigma_blocks mutant that ignores the sign vector."""
+    return _sigma_blocks(alpha, beta, (1,) * len(eps))
 
 
 def test_coset_mutant_is_caught_by_the_oracle(monkeypatch):
-    # a _sigma_triple that ignores the sign vector breaks the closed
+    # a _sigma_blocks that ignores the sign vector breaks the closed
     # orthogonal route; an oracle sharing that code would move with it
     import haartrace.cumulants as cm
     from haartrace.cli import run_verification
 
-    monkeypatch.setattr(cm, "_sigma_triple", _no_signs)
+    monkeypatch.setattr(cm, "_sigma_blocks", _no_signs)
     _, rows = run_verification("quick")
     row = next(r for r in rows if r["identity"] == "oracle-equivalence-orthogonal")
     assert row["failures"] > 0
@@ -469,10 +465,20 @@ def test_coset_mutant_is_caught_with_the_structure_warm(monkeypatch):
 
     for r in (1, 2, 3):
         cm._admissible_monomials("orthogonal", r)
-    monkeypatch.setattr(cm, "_sigma_triple", _no_signs)
+    monkeypatch.setattr(cm, "_sigma_blocks", _no_signs)
     _, rows = run_verification("quick")
     row = next(r for r in rows if r["identity"] == "oracle-equivalence-orthogonal")
     assert row["status"] == "FAIL"
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_sigma_blocks_equal_the_s2r_reference(r):
+    # every (alpha, beta, eps): 2, 16, 288 and 9216 triples at r = 1..4
+    perms = all_permutations(r)
+    for alpha, beta in itertools.product(perms, repeat=2):
+        for eps in itertools.product((1, -1), repeat=r):
+            want = cycle_partition(sigma_triple(alpha, beta, eps))
+            assert SetPartition.of(r, _sigma_blocks(alpha, beta, eps)) == want, (alpha, beta, eps)
 
 
 def _orbits_by_cycle_type(k):
@@ -512,14 +518,14 @@ def _pair_monomials(group, alpha, beta):
     leader of each conjugacy orbit: the groupings of the cycles of each pi
     that join with the cycle partitions of alpha and beta to the one-block
     partition, each kept as the sorted tuple of its blocks' cycle types.
+    The orthogonal pi is built as a product in S_2r (`sigma_triple`).
     """
     r = alpha.size
     ab = join(cycle_partition(alpha), cycle_partition(beta))
     if group == "unitary":
         pis, weight = [beta * alpha.inverse()], Fraction(1)
     else:
-        pis = [sigma_of(t_of_perm(alpha.inverse()) * tau_of_signs(eps) * t_of_perm(beta))
-               for eps in itertools.product((1, -1), repeat=r)]
+        pis = [sigma_triple(alpha, beta, eps) for eps in itertools.product((1, -1), repeat=r)]
         weight = Fraction(2 ** r, 2 ** (alpha.num_cycles + beta.num_cycles))
     monomials = Counter()
     for pi in pis:
@@ -533,10 +539,11 @@ def _pair_monomials(group, alpha, beta):
     return weight, monomials
 
 
-@pytest.mark.parametrize("group, rmax", [("unitary", 4), ("orthogonal", 3)])
+@pytest.mark.parametrize("group, rmax", [("unitary", 4), ("orthogonal", 4)])
 def test_admissible_monomials_equal_the_per_pair_reference(group, rmax):
     # every pair of an orbit, not only its leader, gets the orbit's weight
-    # and monomials from its own construction
+    # and monomials from its own construction; orthogonal order 4 lies past
+    # ORDER_LIMITS, but its structure is checked for the day the limit moves
     import haartrace.cumulants as cm
     for r in range(1, rmax + 1):
         perms = all_permutations(r)
@@ -555,16 +562,14 @@ def _filtered_pair_coefficient(group, n, alpha, beta):
     Sums C_{pi, A} over the coarsenings A of the cycle partition of pi that
     join with the cycle partitions of alpha and beta to the one-block
     partition: the definition that `_admissible_monomials` evaluates once
-    per (group, r) instead.
+    per (group, r) instead, with the orthogonal sigma built in S_2r.
     """
-    import haartrace.cumulants as cm
     r = alpha.size
     ab = join(cycle_partition(alpha), cycle_partition(beta))
     if group == "unitary":
         pis, weight = [beta * alpha.inverse()], Fraction(1)
     else:
-        pis = [cm._sigma_triple(alpha, beta, eps)
-               for eps in itertools.product((1, -1), repeat=r)]
+        pis = [sigma_triple(alpha, beta, eps) for eps in itertools.product((1, -1), repeat=r)]
         weight = Fraction(2 ** r, 2 ** (alpha.num_cycles + beta.num_cycles))
     return weight * sum((_relative_cumulant(group, pi, a, n)
                          for pi in pis for a in enumerate_partitions(r)

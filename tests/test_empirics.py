@@ -340,13 +340,19 @@ def test_kesten_mckay_arcsine_case():
     assert km.mean() == pytest.approx(0.5, abs=1e-8)
 
 
-def test_kesten_mckay_normalization_and_mean():
-    km = kesten_mckay(0.3, 0.5)
+@pytest.mark.parametrize("s, t", [(0.3, 0.5), (0.2, 0.7), (0.1, 0.25)])
+def test_kesten_mckay_normalization_and_mean(s, t):
+    # away from t = 1/2 the moments tell t from 1 - t in the endpoints
+    km = kesten_mckay(s, t)
     assert km.clean_regime
-    assert km.u_minus == pytest.approx((math.sqrt(0.15) - math.sqrt(0.35)) ** 2, abs=1e-14)
-    assert km.u_plus == pytest.approx((math.sqrt(0.15) + math.sqrt(0.35)) ** 2, abs=1e-14)
     assert km.mass(0.0, 1.0) == pytest.approx(1.0, abs=1e-8)
-    assert km.mean() == pytest.approx(0.5, abs=1e-8)  # mean equals t
+    assert km.mean() == pytest.approx(t, abs=1e-8)
+    # phi(pqpq) / phi(p) for free projections of traces s and t
+    assert km._quad(km.u_minus, km.u_plus, moment=2) == \
+        pytest.approx(t * t + s * t * (1 - t), abs=1e-8)
+    root_a, root_b = math.sqrt(s * (1 - t)), math.sqrt((1 - s) * t)
+    assert km.u_minus == pytest.approx((root_a - root_b) ** 2, abs=1e-14)
+    assert km.u_plus == pytest.approx((root_a + root_b) ** 2, abs=1e-14)
     # masses add up over a partition of the support
     assert km.mass(0, 0.3) + km.mass(0.3, 0.7) + km.mass(0.7, 1.0) == \
         pytest.approx(1.0, abs=1e-8)
@@ -475,8 +481,8 @@ def test_increment_fit_rejects_too_few_replicas_before_sampling(monkeypatch, rep
 
 
 @pytest.mark.parametrize("levels, named", [
-    ((), r"\(\)"), ((0,), r"\(0,\)"), ((2, -1), r"\(2, -1\)"),
-], ids=["empty", "zero", "negative"])
+    ((), r"\(\)"), ((0,), r"\(0,\)"), ((2, -1), r"\(2, -1\)"), ((1, 11), r"\(1, 11\)"),
+], ids=["empty", "zero", "negative", "beyond-unit-blocks"])
 def test_increment_fit_rejects_bad_levels_before_sampling(monkeypatch, levels, named):
     from haartrace import empirics
 

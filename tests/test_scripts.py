@@ -50,12 +50,15 @@ def test_script_runs_and_prints_summary(script, args, summary):
      "got (-1,)"),
     ("increment_tightness.py", ["--sizes", "16", "--replicas", "50", "--levels", "0"],
      "got (0,)"),
+    ("increment_tightness.py", ["--sizes", "16", "--replicas", "50", "--levels", "11"],
+     "got (11,)"),
 ], ids=["bridge_covariance_replicas", "bridge_covariance_workers", "bridge_covariance_n",
         "bridge_covariance_seed",
         "spectral_limit_replicas", "bridge_covariance_zero_denominator",
         "spectral_limit_zero_denominator", "increment_tightness_replicas",
         "increment_tightness_sizes", "increment_tightness_empty_levels",
-        "increment_tightness_negative_level", "increment_tightness_level_zero"])
+        "increment_tightness_negative_level", "increment_tightness_level_zero",
+        "increment_tightness_level_beyond_unit_blocks"])
 def test_script_rejects_bad_input_before_sampling(script, args, named):
     done = _run(script, args)
     assert done.returncode == 2, done.stderr

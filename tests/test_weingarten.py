@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -10,7 +9,6 @@ from hypothesis import given, strategies as st
 from haartrace.combinatorics import (
     Permutation,
     all_permutations,
-    bar,
     enumerate_pairings,
     gamma_pairing,
     loop_type,
@@ -21,19 +19,16 @@ from haartrace.sampling import map_replicas
 from haartrace.weingarten import (
     ORDER_LIMITS,
     _bareiss_inverse,
-    eta,
     gram,
     gram_inverse,
     is_inverse,
     joint_moment,
     pairings,
-    sigma_of,
-    t_of_perm,
-    tau_of_signs,
     weingarten_orthogonal,
     weingarten_table,
     weingarten_unitary,
 )
+from hyperoctahedral import eta, hyperoctahedral_group, sigma_of, t_of_perm, tau_of_signs
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +319,7 @@ def test_weingarten_unitary_monte_carlo():
 
 
 # ---------------------------------------------------------------------------
-# hyperoctahedral machinery
+# hyperoctahedral machinery: the S_2k reference of tests/hyperoctahedral.py
 # ---------------------------------------------------------------------------
 
 def particular_permutations(k):
@@ -343,24 +338,6 @@ def particular_permutations(k):
                 eps[pos - 1] = s
             out.append((tuple(eps), pi))
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def hyperoctahedral_group(k):
-    """The centralizer H_k of the pairing gamma in S_2k (2^k k! elements).
-
-    Elements permute the gamma-pairs and optionally flip within each pair.
-    """
-    out = []
-    for rho in all_permutations(k):
-        for flips in itertools.product((1, -1), repeat=k):
-            images = [0] * (2 * k)
-            for i in range(1, k + 1):
-                target = rho(i) if flips[i - 1] == 1 else k + rho(i)
-                images[i - 1] = target
-                images[k + i - 1] = bar(target, k)
-            out.append(Permutation(tuple(images)))
-    return tuple(out)
 
 
 def test_eta_basics():
@@ -382,7 +359,7 @@ def test_eta_right_invariant_under_h3(seed):
 
 def test_t_and_tau_embeddings():
     assert t_of_perm(Permutation.identity(3)) == Permutation.identity(6)
-    pi = Permutation.from_cycles(2, [(1, 2)])
+    pi = Permutation((2, 1))
     assert t_of_perm(pi).images == (1, 2, 4, 3)
     assert tau_of_signs((1, 1)) == Permutation.identity(4)
     assert tau_of_signs((-1, -1)).images == (3, 4, 1, 2)  # the reference involution
@@ -538,9 +515,9 @@ def _loop_type(p1, p2):
             continue
         x, size = start, 0
         while x not in seen:
-            seen.update((x, p1.partner_of(x)))
+            seen.update((x, p1.partner[x - 1]))
             size += 1
-            x = p2.partner_of(p1.partner_of(x))
+            x = p2.partner[p1.partner[x - 1] - 1]
         halves.append(size)
     return tuple(sorted(halves, reverse=True))
 
