@@ -57,6 +57,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .combinatorics import (
     Permutation,
@@ -387,8 +388,10 @@ def covariance_closed_orthogonal(p: int, q: int, p2: int, q2: int, n: int) -> Fr
     return Fraction(2 * (m * m * a * b - m * (a * B + A * b) + A * B), n * n * m * (n + 2))
 
 
-def process_covariance(group: str, n: int, d1: tuple[int, int], d2: tuple[int, int]) -> Fraction:
-    """Exact covariance of the centered corner traces at corners d1 = (p, q), d2.
+def process_covariances(group: str, n: int, dims: Sequence[tuple[int, int]]) -> list[Fraction]:
+    """Exact covariances of the centered corner traces at every pair of
+    corners dims[a], dims[b] with a <= b, row by row: (0, 0), (0, 1), ...,
+    (1, 1), (1, 2), ...
 
     W vanishes identically on an empty corner and on the lines s = 1 and
     t = 1, where T_{n,q} = q and T_{p,n} = p, so a corner side in {0, n}
@@ -397,20 +400,32 @@ def process_covariance(group: str, n: int, d1: tuple[int, int], d2: tuple[int, i
     """
     if group not in GROUPS:
         raise ValueError(f"group must be one of {GROUPS}")
-    if 0 in (*d1, *d2) or n in (*d1, *d2):
-        return Fraction(0)
     closed = covariance_closed if group == "unitary" else covariance_closed_orthogonal
-    return closed(*d1, *d2, n)
+    inside = [0 not in d and n not in d for d in dims]
+    return [closed(*dims[a], *dims[b], n) if inside[a] and inside[b] else Fraction(0)
+            for a in range(len(dims)) for b in range(a, len(dims))]
 
 
-def limit_covariance(s: float, t: float, s2: float, t2: float, beta: int) -> float:
-    """Covariance of the limiting tied-down bridge, scaled by 2/beta."""
+def process_covariance(group: str, n: int, d1: tuple[int, int], d2: tuple[int, int]) -> Fraction:
+    """Exact covariance of the centered corner traces at corners d1 = (p, q)
+    and d2: the pair (0, 1) of `process_covariances`."""
+    return process_covariances(group, n, (d1, d2))[1]
+
+
+def limit_covariance(s, t, s2, t2, beta: int):
+    """Covariance of the limiting tied-down bridge, scaled by 2/beta.
+
+    The coordinates are floats, or float arrays of one shape that hold many
+    pairs of points; each pair gets the same value either way.
+    """
+    import numpy as np  # here, so that the exact commands start without numpy
+
     if beta not in (1, 2):
         raise ValueError("beta must be 1 (orthogonal) or 2 (unitary)")
     for x in (s, t, s2, t2):
-        if not 0.0 <= x <= 1.0:
+        if not np.all((0.0 <= x) & (x <= 1.0)):
             raise ValueError("bridge coordinates must lie in [0,1]")
-    return (2.0 / beta) * (min(s, s2) - s * s2) * (min(t, t2) - t * t2)
+    return (2.0 / beta) * (np.minimum(s, s2) - s * s2) * (np.minimum(t, t2) - t * t2)
 
 
 def _beta_central_fourth(a: int, b: int) -> Fraction:

@@ -198,13 +198,13 @@ def _replica_rngs(words: np.ndarray) -> Iterator[np.random.Generator]:
     """
     rng = np.random.default_rng(0)
     bit_generator = rng.bit_generator
+    pcg = {"state": 0, "inc": 0}  # one state dict, refilled for each replica
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     for s_hi, s_lo, i_hi, i_lo in words.tolist():
         # PCG64's seeding: state 0, a step, add the seed, a step
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+        inc = pcg["inc"] = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = state
         yield rng
 
 
@@ -294,7 +294,9 @@ def map_replicas(group: str, n: int, replicas: int, master_seed: int,
     stack_fn maps the (k, rows, columns) stack of the leading `rows` x
     `columns` (defaults all n) of k consecutive replicas to their k rows, in
     order; each chunk writes only its own rows, so rows are the same for any
-    chunk size and worker count, BLAS being single-threaded.  With rows < n
+    chunk size and worker count, BLAS being single-threaded.  With workers
+    > 1 a pool of min(workers, chunks, `_usable_cpus()`) threads runs the
+    chunks; one worker runs them in this thread.  With rows < n
     and a replica's block over `_R_ONLY_BYTES` the block comes from R alone
     (`_haar_stack`): its columns are Haar's up to unit phases, which squared
     moduli and the spectrum of V V* do not see.  Freed sample arrays are kept
@@ -320,15 +322,26 @@ def map_replicas(group: str, n: int, replicas: int, master_seed: int,
     out = None
     # BLAS runs on one thread for every worker count: OpenBLAS's threaded
     # kernels round differently from its serial ones (at n = 400, say), so a
-    # thread count that followed `workers` would change the rows with it
+    # thread count that followed `workers` would change the rows with it.
+    # The pool gets no more threads than chunks or usable CPUs: a thread
+    # beyond those adds no speed, only a chunk's arrays held at once.
     with single_threaded_blas():
-        pool = concurrent.futures.ThreadPoolExecutor(workers) if workers > 1 else None
+        threads = min(workers, len(starts), _usable_cpus())
+        pool = concurrent.futures.ThreadPoolExecutor(threads) if workers > 1 else None
         with pool or contextlib.nullcontext():  # workers <= 1: no pool, all in this thread
             for lo, chunk in zip(starts, (pool.map if pool else map)(compute, starts)):
                 if out is None:
                     out = np.empty((replicas, *chunk.shape[1:]), dtype=chunk.dtype)
                 out[lo:lo + step] = chunk
     return out
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 @functools.lru_cache(maxsize=1)

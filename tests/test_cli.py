@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -114,6 +115,9 @@ _REPORT_RECORDS = {
     "verify": lambda: cli.cmd_verify(RunConfig("verify", scope="quick"))[0],
     "no-records": lambda: [],
     "empty-record": lambda: [{}, {"kind": "summary"}],
+    # more records than one encoder call takes, empty ones on both sides of a cut
+    "many-records": lambda: [{"kind": "bin", "lo": i / 7, "note": "},\n{"} if i % 255 else {}
+                             for i in range(3 * cli._RECORDS_PER_ENCODE + 2)],
 }
 
 
@@ -164,6 +168,63 @@ def test_simulate_worker_count_does_not_change_body(tmp_path):
     _, text1 = run_cli(tmp_path, *base, "--workers", "1")
     _, text2 = run_cli(tmp_path, *base, "--workers", "3")
     assert json.loads(text1)["body"] == json.loads(text2)["body"]
+
+
+def _simulate_records_pair_by_pair(group, n, axis, replicas, seed, workers):
+    """`simulate`'s records rebuilt one pair and one point at a time, in record order."""
+    from haartrace.cumulants import limit_covariance, process_covariance
+    from haartrace.empirics import (covariance_mc, floor_index, kstat_estimators,
+                                    sample_process_values)
+
+    points = [(s, t) for s in axis for t in axis]
+    values = sample_process_values(group, n, points, replicas, seed, workers=workers)
+    est, se = (x.tolist() for x in covariance_mc(values))
+    dims = [(floor_index(n, s), floor_index(n, t)) for s, t in points]
+    points = [(float(s), float(t)) for s, t in points]
+    beta = 2 if group == "unitary" else 1
+    records = []
+    for a, (s1, t1) in enumerate(points):
+        for b in range(a, len(points)):
+            s2, t2 = points[b]
+            exact = process_covariance(group, n, dims[a], dims[b])
+            limit = float(limit_covariance(s1, t1, s2, t2, beta))
+            records.append({
+                "kind": "covariance", "s": s1, "t": t1, "s2": s2, "t2": t2,
+                "estimate": est[a][b], "se": se[a][b],
+                "exact": f"{exact.numerator}/{exact.denominator}",
+                "exact_float": float(exact), "limit": limit,
+                "within_4se_of_exact": str(
+                    abs(est[a][b] - float(exact)) <= 4 * se[a][b]).lower(),
+                "within_limit_policy": str(
+                    abs(est[a][b] - limit) <= 0.01 + 4 * se[a][b]).lower(),
+            })
+    for a, (s, t) in enumerate(points):
+        ks = kstat_estimators(values[:, a])
+        records.append({"kind": "kstats", "s": s, "t": t, "k2": ks.k2, "se2": ks.se2,
+                        "k3": ks.k3, "se3": ks.se3, "k4": ks.k4, "se4": ks.se4})
+    return records
+
+
+@pytest.mark.parametrize("group, n, grid, replicas, workers", [
+    ("orthogonal", 16, "0,0.3,0.55,0.9,1", 150, 1),
+    ("unitary", 64, "0.3,0.55,0.9", 100, 2),  # 57 of 64 rows: the R-only route
+], ids=["orthogonal-n16-edges", "unitary-n64-r-only"])
+def test_simulate_body_equals_the_pair_by_pair_records(tmp_path, group, n, grid, replicas,
+                                                       workers):
+    args = ["simulate", "--group", group, "--n", str(n), "--replicas", str(replicas),
+            "--grid", grid, "--master-seed", "17", "--workers", str(workers)]
+    want = _simulate_records_pair_by_pair(group, n, parse_grid(grid), replicas, 17, workers)
+    code, text = run_cli(tmp_path, *args)
+    assert code == (1 if any(r.get("within_4se_of_exact") == "false" for r in want) else 0)
+    rebuilt = _write_report(RunConfig("simulate", output=str(tmp_path / "want.json")),
+                            want, time.time())
+    assert text[text.index('"body"'):] == rebuilt[rebuilt.index('"body"'):]
+    _, ctext = run_cli(tmp_path, *args, fmt="csv")
+    rebuilt = _write_report(RunConfig("simulate", output=str(tmp_path / "want.csv"),
+                                      format="csv"), want, time.time())
+    rows, want_rows = (list(csv.reader(ln for ln in doc.splitlines() if not ln.startswith("#")))
+                       for doc in (ctext, rebuilt))
+    assert rows == want_rows and len(rows) == len(want) + 1
 
 
 def test_json_and_csv_payloads_match(tmp_path):

@@ -57,8 +57,10 @@ def test_trace_field_requires_square():
 
 @pytest.mark.parametrize("dtype, k, n, q", [
     (np.float64, 3, 12, 12), (np.complex128, 2, 12, 9),
+    # a full chunk of `mc_wide_grid`'s 16 x 14 block; a 400 x 300 block at `mc_bridge`'s n
+    (np.float64, 128, 16, 14), (np.complex128, 1, 400, 300),
     (np.float64, 2, 1000, 6), (np.complex128, 1, 1000, 5),
-], ids=["real", "complex", "real-n1000", "complex-n1000"])
+], ids=["real", "complex", "real-chunk-n16", "complex-n400", "real-n1000", "complex-n1000"])
 def test_corner_traces_read_trace_field_inside_and_min_on_the_sides(dtype, k, n, q):
     rng = np.random.default_rng(n + q)
     stack = rng.standard_normal((k, n, q)).astype(dtype)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import resource
 import subprocess
@@ -287,6 +288,45 @@ def test_rows_do_not_depend_on_worker_count_at_blas_threaded_size(group):
     serial = sample_process_values(group, 400, pts, 5, 8, workers=1)
     pooled = sample_process_values(group, 400, pts, 5, 8, workers=2)
     assert np.array_equal(serial, pooled)
+
+
+def test_pool_threads_are_capped_by_chunks_and_usable_cpus(monkeypatch):
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    _chunks_of(monkeypatch, 8, 6, "orthogonal")  # 40 replicas in 5 chunks
+    serial = map_replicas("orthogonal", 6, 40, 3, lambda z: z)
+    for cpus, workers, want in [(3, 24, 3), (3, 2, 2), (8, 24, 5), (1, 2, 1)]:
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+        sizes.clear()
+        assert np.array_equal(map_replicas("orthogonal", 6, 40, 3, lambda z: z,
+                                           workers=workers), serial)
+        assert sizes == [want], (cpus, workers)
+    sizes.clear()
+    map_replicas("orthogonal", 6, 40, 3, lambda z: z, workers=1)
+    assert sizes == []  # one worker runs without a pool
+
+
+def test_many_workers_run_on_at_most_the_usable_cpus():
+    # 96 replicas of n = 64 are 24 chunks of 4 on the R-only route (8 of 64 rows)
+    threads = set()
+
+    def rows(z):
+        threads.add(threading.get_ident())
+        return np.abs(z[:, :, 0]) ** 2
+
+    serial = map_replicas("unitary", 64, 96, 1, rows, rows=8)
+    threads.clear()
+    pooled = map_replicas("unitary", 64, 96, 1, rows, workers=24, rows=8)
+    assert np.array_equal(pooled, serial)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    assert 1 <= len(threads) <= cpus
 
 
 @pytest.mark.parametrize("workers", [1, 2])
